@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check race bench bench-server bench-wire bench-all experiments figures quick cover trace sched-smoke async-smoke serve-smoke fleet-smoke sim-smoke soak soak-server soak-sim conformance e2e clean
+.PHONY: all build test vet perfbench-check check race bench bench-server bench-wire bench-all experiments figures quick cover trace sched-smoke async-smoke serve-smoke fleet-smoke sim-smoke soak soak-server soak-sim conformance e2e clean
 
 all: build vet test
 
@@ -15,16 +15,23 @@ vet:
 test:
 	$(GO) test ./...
 
-# The per-PR gate: build, vet (the concurrency code leans on it), tests.
-check: build vet test
+# perfbench is its own Go module, so the root build never compiles it:
+# vet and self-test it here so a change to the internal API it calls
+# fails the gate instead of the benchmark run.
+perfbench-check:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
+
+# The per-PR gate: build, vet (the concurrency code leans on it), tests,
+# and the perfbench module.
+check: build vet test perfbench-check
 
 # Race-detector pass over the whole module; the pool runtime tests in
 # internal/core are written to stress the barrier and band handoff paths.
 race:
 	$(GO) test -race ./...
 
-# Native pool runtime benchmarks vs the spawn baseline, archived as
-# BENCH_native.json (real wall-clock numbers — machine-dependent).
+# Native pool runtime benchmarks, archived as BENCH_native.json (real
+# wall-clock numbers — machine-dependent; benchjson records the host).
 bench:
 	$(GO) test -run '^$$' -bench=NativePool -benchmem -cpu 4 -benchtime 3x . | tee bench_output.txt
 	$(GO) run ./cmd/benchjson < bench_output.txt > BENCH_native.json

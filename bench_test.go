@@ -105,7 +105,7 @@ func BenchmarkSolveParallelLevenshtein1k(b *testing.B) {
 	cells := float64(p.Rows * p.Cols)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveParallel(p, 0); err != nil {
+		if _, err := core.SolveParallelContext(context.Background(), p, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -194,7 +194,7 @@ func BenchmarkSolveTiledLevenshtein1k(b *testing.B) {
 	for _, tile := range []int{16, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("tile%d", tile), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.SolveTiled(p, tile, 0); err != nil {
+				if _, err := core.SolveTiledContext(context.Background(), p, tile, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -255,27 +255,15 @@ func BenchmarkExtModern(b *testing.B) { benchExperiment(b, "ext-modern") }
 func BenchmarkExtBottleneck(b *testing.B) { benchExperiment(b, "ext-bottleneck") }
 
 // Native pool runtime family (-bench=NativePool): the persistent
-// worker-pool wavefront executor against the seed spawn-per-front
-// baseline. Run with -benchmem: the Sim alloc counts are part of the
-// recorded evidence (BENCH_native.json).
+// worker-pool wavefront executor. Run with -benchmem: the Sim alloc
+// counts are part of the recorded evidence (BENCH_native.json).
 
-// Seed baseline: fresh goroutines + WaitGroup barrier per front.
-func BenchmarkNativePoolSpawnLevenshtein4k(b *testing.B) {
-	p := experiments.Fig10Problem(1, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveParallelSpawn(p, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Pool runtime at the default configuration on the same workload.
+// Pool runtime at the default configuration on a 4096² Levenshtein table.
 func BenchmarkNativePoolLevenshtein4k(b *testing.B) {
 	p := experiments.Fig10Problem(1, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveParallel(p, 0); err != nil {
+		if _, err := core.SolveParallelContext(context.Background(), p, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

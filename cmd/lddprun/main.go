@@ -10,9 +10,15 @@
 //	lddprun -problem lcs -size 2048 -solver hetero -metrics
 //	lddprun -problem levenshtein -size 2048 -solver parallel -traceout t.json
 //	lddprun -problem levenshtein -size 2048 -solver async -traceout a.json
+//	lddprun -problem dtw -size 1024 -solver tiled
+//
+// -solver takes any name of lddp's strategy table (auto, sequential,
+// parallel, tiled, hetero, sim-cpu, sim-gpu, multi, async) or resilient,
+// the unreliable-memory solver.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -21,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/hetsim"
 	"repro/internal/trace"
 	"repro/lddp"
@@ -30,8 +35,8 @@ import (
 func main() {
 	problem := flag.String("problem", "levenshtein", fmt.Sprintf("one of %v", cli.ProblemNames()))
 	size := flag.Int("size", 1024, "table side length")
-	solver := flag.String("solver", "hetero", "seq, parallel, async, tiled, resilient, cpu, gpu, hetero or multi")
-	workers := flag.Int("workers", 0, "workers for -solver parallel/async/tiled (0 = min(GOMAXPROCS, NumCPU))")
+	solver := flag.String("solver", lddp.Hetero.String(), "one of "+strategyNames(all)+" or resilient")
+	workers := flag.Int("workers", 0, "workers for -solver "+strategyNames(func(r lddp.StrategyInfo) bool { return r.Workers })+" (0 = min(GOMAXPROCS, NumCPU))")
 	platform := flag.String("platform", "Hetero-High", "simulated platform (Hetero-High, Hetero-Low, Hetero-Phi, Hetero-Modern)")
 	platformFile := flag.String("platform-file", "", "load a custom platform calibration from a JSON file (overrides -platform)")
 	tswitch := flag.Int("tswitch", -1, "t_switch (-1 = auto)")
@@ -40,7 +45,7 @@ func main() {
 	gantt := flag.Bool("gantt", false, "print an ASCII Gantt chart of the simulated timeline")
 	csv := flag.Bool("csv", false, "dump the simulated timeline as CSV")
 	accels := flag.String("accels", "", "comma-separated accelerators for -solver multi (k20,gt650m,phi)")
-	tile := flag.Int("tile", 0, "tile size for -solver tiled (0 = auto)")
+	tile := flag.Int("tile", 0, "tile size for -solver "+strategyNames(func(r lddp.StrategyInfo) bool { return r.Tile })+" (0 = the L2-sized default for the problem's cell size)")
 	replicas := flag.Int("replicas", 3, "memory replicas for -solver resilient")
 	faultRate := flag.Int("faultrate", 1, "percent of writes corrupted per replica for -solver resilient")
 	htmlOut := flag.String("html", "", "write an HTML Gantt chart of the simulated timeline to this file")
@@ -56,9 +61,9 @@ func main() {
 	fmt.Printf("problem=%s table=%dx%d pattern=%s\n", inst.Name, inst.Rows, inst.Cols, inst.Pattern)
 
 	// One collector serves both reporting flags; solvers that never emit
-	// events (seq, resilient) just yield an empty document.
+	// events (sequential, resilient) just yield an empty document.
 	var metrics *lddp.Metrics
-	var coll core.Collector
+	var coll lddp.Collector
 	if *metricsOut || *traceOut {
 		metrics = &lddp.Metrics{}
 		coll = metrics
@@ -68,98 +73,82 @@ func main() {
 		tracer = lddp.NewTracer()
 	}
 
-	switch *solver {
-	case "seq":
-		ans, err := inst.SolveSeq()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(ans)
-	case "tiled":
-		tl := *tile
-		if tl <= 0 {
-			tl = core.DefaultTile(4)
-		}
-		ans, err := inst.SolveTiled(tl, core.Options{NativeWorkers: *workers, Collector: coll, Tracer: tracer})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s (tile=%d)\n", ans, tl)
-	case "resilient":
-		ans, corrected, err := inst.SolveResilient(*replicas, *faultRate, *seed)
+	if *solver == "resilient" {
+		ans, corrected, err := inst.Resilient(*replicas, *faultRate, *seed)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("%s (replicas=%d, detected faults at %d cells)\n", ans, *replicas, corrected)
-	case "parallel":
-		ans, err := inst.SolveParallel(core.Options{NativeWorkers: *workers, Collector: coll, Tracer: tracer})
+	} else {
+		strategy, err := lddp.ParseStrategy(*solver)
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("unknown solver %q (want %s or resilient)", *solver, strategyNames(all)))
 		}
-		fmt.Println(ans)
-	case "async":
-		ans, err := inst.SolveAsync(core.Options{NativeWorkers: *workers, Collector: coll, Tracer: tracer})
-		if err != nil {
-			fatal(err)
+		opts := []lddp.Option{
+			lddp.WithStrategy(strategy), lddp.WithWorkers(*workers), lddp.WithTile(*tile),
+			lddp.WithCollector(coll), lddp.WithTracer(tracer),
 		}
-		fmt.Println(ans)
-	case "cpu", "gpu", "hetero", "multi":
-		var plat *hetsim.Platform
-		var err error
-		if *platformFile != "" {
-			data, rerr := os.ReadFile(*platformFile)
-			if rerr != nil {
-				fatal(rerr)
+		simulated := strategy.Info().Simulated
+		if simulated {
+			var plat *hetsim.Platform
+			if *platformFile != "" {
+				data, rerr := os.ReadFile(*platformFile)
+				if rerr != nil {
+					fatal(rerr)
+				}
+				plat, err = hetsim.LoadPlatform(data)
+			} else {
+				plat, err = hetsim.PlatformByName(*platform)
 			}
-			plat, err = hetsim.LoadPlatform(data)
-		} else {
-			plat, err = hetsim.PlatformByName(*platform)
+			if err != nil {
+				fatal(err)
+			}
+			opts = append(opts, lddp.WithPlatformModel(plat), lddp.WithTSwitch(*tswitch), lddp.WithTShare(*tshare))
 		}
-		if err != nil {
-			fatal(err)
-		}
-		opts := core.Options{Platform: plat, TSwitch: *tswitch, TShare: *tshare, Collector: coll, Tracer: tracer}
-		var info cli.SimInfo
-		if *solver == "multi" {
+		if strategy == lddp.Multi {
 			names := strings.Split(*accels, ",")
 			if *accels == "" {
 				names = []string{"k20", "gt650m"}
 			}
-			info, err = inst.SolveMulti(names, opts)
-		} else {
-			info, err = inst.SolveSim(*solver, opts)
+			opts = append(opts, lddp.WithAccelerators(names...))
 		}
+		out, err := inst.Solve(context.Background(), opts...)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println(info.Result)
-		fmt.Printf("executed=%s transfer=%s t_switch=%d t_share=%d\n",
-			info.Executed, info.Transfer, info.TSwitch, info.TShare)
-		fmt.Printf("simulated: %s\n", trace.StatsLine(info.Timeline))
-		if *gantt {
-			fmt.Print(trace.Gantt(info.Timeline, 100))
-		}
-		if *csv {
-			if err := trace.WriteCSV(os.Stdout, info.Timeline); err != nil {
-				fatal(err)
+		switch {
+		case strategy == lddp.Tiled:
+			fmt.Printf("%s (tile=%d)\n", out.Answer, out.Tile)
+		case !simulated:
+			fmt.Println(out.Answer)
+		default:
+			fmt.Println(out.Answer)
+			fmt.Printf("executed=%s transfer=%s t_switch=%d t_share=%d\n",
+				out.Executed, out.Transfer, out.TSwitch, out.TShare)
+			fmt.Printf("simulated: %s\n", trace.StatsLine(out.Timeline))
+			if *gantt {
+				fmt.Print(trace.Gantt(out.Timeline, 100))
+			}
+			if *csv {
+				if err := trace.WriteCSV(os.Stdout, out.Timeline); err != nil {
+					fatal(err)
+				}
+			}
+			if *htmlOut != "" {
+				f, err := os.Create(*htmlOut)
+				if err != nil {
+					fatal(err)
+				}
+				title := fmt.Sprintf("%s %dx%d (%s)", inst.Name, inst.Rows, inst.Cols, strategy)
+				if err := trace.WriteHTMLGantt(f, out.Timeline, title); err != nil {
+					fatal(err)
+				}
+				if err := f.Close(); err != nil {
+					fatal(err)
+				}
+				fmt.Printf("wrote %s\n", *htmlOut)
 			}
 		}
-		if *htmlOut != "" {
-			f, err := os.Create(*htmlOut)
-			if err != nil {
-				fatal(err)
-			}
-			title := fmt.Sprintf("%s %dx%d (%s)", inst.Name, inst.Rows, inst.Cols, *solver)
-			if err := trace.WriteHTMLGantt(f, info.Timeline, title); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *htmlOut)
-		}
-	default:
-		fatal(fmt.Errorf("unknown solver %q", *solver))
 	}
 
 	if tracer != nil {
@@ -191,6 +180,15 @@ func main() {
 		}
 	}
 }
+
+// strategyNames lists the strategy-table rows keep selects, for help
+// and error text.
+func strategyNames(keep func(lddp.StrategyInfo) bool) string {
+	return strings.Join(lddp.StrategyNames(keep), ", ")
+}
+
+// all selects every row of the strategy table.
+func all(lddp.StrategyInfo) bool { return true }
 
 // printTrace renders the collected metrics as a readable table.
 func printTrace(s lddp.MetricsSnapshot) {

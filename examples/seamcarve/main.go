@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 	fmt.Printf("seam carving a %dx%d energy map: pattern %s (case-2: %s)\n",
 		rows, cols, core.Classify(p.Deps), core.TransferNeed(p.Deps))
 
-	acc, err := core.SolveParallel(p, 0)
+	acc, err := core.SolveParallelContext(context.Background(), p, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

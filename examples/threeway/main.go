@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 	}
 	fmt.Printf("sequential:  |LCS3| = %d\n", problems.LCS3Length(seq, a, b, c))
 
-	par, err := core.SolveParallel3(p, 0)
+	par, err := core.SolveParallel3Context(context.Background(), p, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

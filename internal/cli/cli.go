@@ -9,22 +9,23 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/hetsim"
 	"repro/internal/problems"
 	"repro/internal/table"
 	"repro/internal/workload"
+	"repro/lddp"
 )
 
-// SimInfo summarizes a simulated solve for printing.
-type SimInfo struct {
-	Result   string
-	Time     string
-	Pattern  core.Pattern
-	Executed core.Pattern
-	Transfer core.TransferKind
-	TSwitch  int
-	TShare   int
-	Timeline hetsim.Timeline
+// Outcome summarizes one solve for printing: the problem's answer and
+// the execution profile lddp.Result reports.
+type Outcome struct {
+	Answer   string
+	Executed lddp.Pattern
+	Transfer lddp.TransferKind
+	// TSwitch and TShare are the Hetero work division; Tile is the Tiled
+	// block size (zero for the other strategies).
+	TSwitch, TShare, Tile int
+	// Timeline is the simulated schedule (empty for native strategies).
+	Timeline lddp.Timeline
 }
 
 // Instance is a type-erased problem instance.
@@ -33,43 +34,15 @@ type Instance struct {
 	Rows, Cols int
 	Pattern    core.Pattern
 
-	// SolveSeq runs the sequential reference and returns the answer.
-	SolveSeq func() (string, error)
-	// SolveParallel runs the native goroutine solver; opts carries the
-	// runtime knobs (workers, chunk, lookahead) and an optional Collector.
-	SolveParallel func(opts core.Options) (string, error)
-	// SolveAsync runs the barrier-free dependency-counter executor; opts
-	// carries workers and the optional Collector/Tracer.
-	SolveAsync func(opts core.Options) (string, error)
-	// SolveSim runs a simulated solver: mode is "cpu", "gpu" or "hetero".
-	SolveSim func(mode string, opts core.Options) (SimInfo, error)
-	// SolveMulti runs the multi-accelerator extension (horizontal-pattern
-	// problems only) with the named accelerators.
-	SolveMulti func(accelNames []string, opts core.Options) (SimInfo, error)
-	// SolveTiled runs the cache-efficient tiled multicore baseline; worker
-	// count and Collector ride in opts.
-	SolveTiled func(tile int, opts core.Options) (string, error)
-	// SolveResilient runs the unreliable-memory solver with seeded faults
+	// Solve runs the instance through lddp.Solve; the options select the
+	// strategy and its knobs exactly as for lddp.Solve.
+	Solve func(ctx context.Context, opts ...lddp.Option) (*Outcome, error)
+	// Resilient runs the unreliable-memory solver with seeded faults
 	// at ratePercent per replica write, and reports the answer plus the
 	// number of cells where corruption was detected.
-	SolveResilient func(replicas, ratePercent int, seed uint64) (answer string, corrected int, err error)
+	Resilient func(replicas, ratePercent int, seed uint64) (answer string, corrected int, err error)
 	// Tune runs the §V-A parameter search.
 	Tune func(opts core.Options) (*core.TuneResult, error)
-}
-
-// AcceleratorByName resolves the accelerator models available to the CLI:
-// "k20", "gt650m", and "phi".
-func AcceleratorByName(name string) (core.Accelerator, error) {
-	switch name {
-	case "k20":
-		return core.Accelerator{Name: name, Model: hetsim.HeteroHigh().GPU}, nil
-	case "gt650m":
-		return core.Accelerator{Name: name, Model: hetsim.HeteroLow().GPU}, nil
-	case "phi":
-		return core.Accelerator{Name: name, Model: hetsim.HeteroPhi().GPU}, nil
-	default:
-		return core.Accelerator{}, fmt.Errorf("cli: unknown accelerator %q (want k20, gt650m or phi)", name)
-	}
 }
 
 func makeInstance[T comparable](p *core.Problem[T], answer func(*table.Grid[T]) string) *Instance {
@@ -79,90 +52,22 @@ func makeInstance[T comparable](p *core.Problem[T], answer func(*table.Grid[T]) 
 		Cols:    p.Cols,
 		Pattern: p.Pattern(),
 	}
-	inst.SolveSeq = func() (string, error) {
-		g, err := core.Solve(p)
+	inst.Solve = func(ctx context.Context, opts ...lddp.Option) (*Outcome, error) {
+		r, err := lddp.Solve(ctx, p, opts...)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		return answer(g), nil
-	}
-	inst.SolveParallel = func(opts core.Options) (string, error) {
-		g, err := core.SolveParallelOpt(p, opts)
-		if err != nil {
-			return "", err
-		}
-		return answer(g), nil
-	}
-	inst.SolveAsync = func(opts core.Options) (string, error) {
-		g, err := core.SolveAsyncOpt(p, opts)
-		if err != nil {
-			return "", err
-		}
-		return answer(g), nil
-	}
-	inst.SolveSim = func(mode string, opts core.Options) (SimInfo, error) {
-		var solve func(*core.Problem[T], core.Options) (*core.Result[T], error)
-		switch mode {
-		case "cpu":
-			solve = core.SolveCPUOnly[T]
-		case "gpu":
-			solve = core.SolveGPUOnly[T]
-		case "hetero":
-			solve = core.SolveHetero[T]
-		default:
-			return SimInfo{}, fmt.Errorf("cli: unknown solver mode %q (want cpu, gpu or hetero)", mode)
-		}
-		r, err := solve(p, opts)
-		if err != nil {
-			return SimInfo{}, err
-		}
-		info := SimInfo{
-			Time:     r.Time.String(),
-			Pattern:  r.Pattern,
+		return &Outcome{
+			Answer:   answer(r.Grid),
 			Executed: r.Executed,
 			Transfer: r.Transfer,
 			TSwitch:  r.TSwitch,
 			TShare:   r.TShare,
+			Tile:     r.Tile,
 			Timeline: r.Timeline,
-		}
-		if r.Grid != nil {
-			info.Result = answer(r.Grid)
-		}
-		return info, nil
+		}, nil
 	}
-	inst.SolveMulti = func(accelNames []string, opts core.Options) (SimInfo, error) {
-		accels := make([]core.Accelerator, 0, len(accelNames))
-		for _, n := range accelNames {
-			a, err := AcceleratorByName(n)
-			if err != nil {
-				return SimInfo{}, err
-			}
-			accels = append(accels, a)
-		}
-		r, err := core.SolveHeteroMulti(p, opts, accels, nil)
-		if err != nil {
-			return SimInfo{}, err
-		}
-		info := SimInfo{
-			Time:     r.Timeline.Makespan().String(),
-			Pattern:  p.Pattern(),
-			Executed: core.Horizontal,
-			Transfer: core.TransferNeed(p.Deps),
-			Timeline: r.Timeline,
-		}
-		if r.Grid != nil {
-			info.Result = answer(r.Grid)
-		}
-		return info, nil
-	}
-	inst.SolveTiled = func(tile int, opts core.Options) (string, error) {
-		g, err := core.SolveTiledContext(context.Background(), p, tile, opts)
-		if err != nil {
-			return "", err
-		}
-		return answer(g), nil
-	}
-	inst.SolveResilient = func(replicas, ratePercent int, seed uint64) (string, int, error) {
+	inst.Resilient = func(replicas, ratePercent int, seed uint64) (string, int, error) {
 		rngs := map[int]*workload.RNG{}
 		fault := func(replica, i, j int, v T) T {
 			r, ok := rngs[replica]
@@ -176,7 +81,7 @@ func makeInstance[T comparable](p *core.Problem[T], answer func(*table.Grid[T]) 
 			}
 			return v
 		}
-		g, corrected, err := core.SolveResilient(p, replicas, fault)
+		g, corrected, err := core.SolveResilientContext(context.Background(), p, replicas, fault)
 		if err != nil {
 			return "", 0, err
 		}

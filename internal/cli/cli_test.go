@@ -1,12 +1,27 @@
 package cli
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/lddp"
 )
 
+// solve runs inst through lddp.Solve and returns the outcome.
+func solve(t *testing.T, inst *Instance, opts ...lddp.Option) *Outcome {
+	t.Helper()
+	out, err := inst.Solve(context.Background(), opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", inst.Name, err)
+	}
+	return out
+}
+
+// TestBuildInstanceAllNames solves every problem through every row of the
+// strategy table (Multi, which needs accelerators and a horizontal
+// pattern, has its own test) and checks each answer against sequential.
 func TestBuildInstanceAllNames(t *testing.T) {
 	for _, name := range ProblemNames() {
 		inst, err := BuildInstance(name, 40, 7)
@@ -16,30 +31,20 @@ func TestBuildInstanceAllNames(t *testing.T) {
 		if inst.Rows < 2 || inst.Cols < 2 {
 			t.Errorf("%s: degenerate dims %dx%d", name, inst.Rows, inst.Cols)
 		}
-		ans, err := inst.SolveSeq()
-		if err != nil {
-			t.Fatalf("%s seq: %v", name, err)
-		}
+		ans := solve(t, inst, lddp.WithStrategy(lddp.Sequential)).Answer
 		if !strings.Contains(ans, "=") {
 			t.Errorf("%s: answer %q has no key=value form", name, ans)
 		}
-		par, err := inst.SolveParallel(core.Options{NativeWorkers: 2})
-		if err != nil {
-			t.Fatalf("%s parallel: %v", name, err)
-		}
-		if par != ans {
-			t.Errorf("%s: parallel answer %q != seq %q", name, par, ans)
-		}
-		for _, mode := range []string{"cpu", "gpu", "hetero"} {
-			info, err := inst.SolveSim(mode, core.Options{TSwitch: -1, TShare: -1})
-			if err != nil {
-				t.Fatalf("%s %s: %v", name, mode, err)
+		for _, row := range lddp.Strategies() {
+			if row.Strategy == lddp.Multi {
+				continue
 			}
-			if info.Result != ans {
-				t.Errorf("%s %s: answer %q != seq %q", name, mode, info.Result, ans)
+			out := solve(t, inst, lddp.WithStrategy(row.Strategy), lddp.WithWorkers(2))
+			if out.Answer != ans {
+				t.Errorf("%s %s: answer %q != sequential %q", name, row.Name, out.Answer, ans)
 			}
-			if len(info.Timeline.Records) == 0 {
-				t.Errorf("%s %s: empty timeline", name, mode)
+			if row.Simulated && len(out.Timeline.Records) == 0 {
+				t.Errorf("%s %s: empty timeline", name, row.Name)
 			}
 		}
 	}
@@ -54,13 +59,13 @@ func TestBuildInstanceErrors(t *testing.T) {
 	}
 }
 
-func TestSolveSimUnknownMode(t *testing.T) {
+func TestSolveUnknownStrategy(t *testing.T) {
 	inst, err := BuildInstance("lcs", 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inst.SolveSim("quantum", core.Options{}); err == nil {
-		t.Error("unknown mode should error")
+	if _, err := inst.Solve(context.Background(), lddp.WithStrategy(lddp.Strategy(99))); err == nil {
+		t.Error("unknown strategy should error")
 	}
 }
 
@@ -95,18 +100,12 @@ func TestSolveTiledAndResilientAgreeWithSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := inst.SolveSeq()
-	if err != nil {
-		t.Fatal(err)
+	want := solve(t, inst, lddp.WithStrategy(lddp.Sequential)).Answer
+	tiled := solve(t, inst, lddp.WithStrategy(lddp.Tiled), lddp.WithTile(8), lddp.WithWorkers(2))
+	if tiled.Answer != want || tiled.Tile != 8 {
+		t.Errorf("tiled %q (tile=%d) != seq %q (tile=8)", tiled.Answer, tiled.Tile, want)
 	}
-	tiled, err := inst.SolveTiled(8, core.Options{NativeWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tiled != want {
-		t.Errorf("tiled %q != seq %q", tiled, want)
-	}
-	res, corrected, err := inst.SolveResilient(3, 1, 42)
+	res, corrected, err := inst.Resilient(3, 1, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,32 +117,41 @@ func TestSolveTiledAndResilientAgreeWithSeq(t *testing.T) {
 	}
 }
 
+// TestSolveTiledDefaultTileFitsCellSize: an unset tile must size the
+// block for the problem's own cell width, so the 8-byte dtw table gets
+// smaller tiles than the 4-byte ones and every block fits the L2 budget
+// DefaultTile respects.
+func TestSolveTiledDefaultTileFitsCellSize(t *testing.T) {
+	for _, tc := range []struct {
+		problem string
+		tile    int
+	}{{"levenshtein", 256}, {"dtw", 181}} {
+		inst, err := BuildInstance(tc.problem, 400, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := solve(t, inst, lddp.WithStrategy(lddp.Sequential)).Answer
+		out := solve(t, inst, lddp.WithStrategy(lddp.Tiled))
+		if out.Tile != tc.tile {
+			t.Errorf("%s: default tile %d, want %d", tc.problem, out.Tile, tc.tile)
+		}
+		if out.Answer != want {
+			t.Errorf("%s: tiled %q != seq %q", tc.problem, out.Answer, want)
+		}
+	}
+}
+
 func TestSolveMultiHorizontalProblem(t *testing.T) {
 	inst, err := BuildInstance("checkerboard", 60, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := inst.SolveSeq()
-	info, err := inst.SolveMulti([]string{"k20", "phi"}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	want := solve(t, inst, lddp.WithStrategy(lddp.Sequential)).Answer
+	out := solve(t, inst, lddp.WithStrategy(lddp.Multi), lddp.WithAccelerators("k20", "phi"))
+	if out.Answer != want {
+		t.Errorf("multi %q != seq %q", out.Answer, want)
 	}
-	if info.Result != want {
-		t.Errorf("multi %q != seq %q", info.Result, want)
-	}
-	if _, err := inst.SolveMulti([]string{"warp9"}, core.Options{}); err == nil {
+	if _, err := inst.Solve(context.Background(), lddp.WithStrategy(lddp.Multi), lddp.WithAccelerators("warp9")); err == nil {
 		t.Error("unknown accelerator should error")
-	}
-}
-
-func TestAcceleratorByName(t *testing.T) {
-	for _, n := range []string{"k20", "gt650m", "phi"} {
-		a, err := AcceleratorByName(n)
-		if err != nil || a.Name != n {
-			t.Errorf("AcceleratorByName(%s) = %v, %v", n, a, err)
-		}
-	}
-	if _, err := AcceleratorByName("nope"); err == nil {
-		t.Error("unknown name should error")
 	}
 }

@@ -70,7 +70,7 @@ const (
 
 // asyncEngine is the shared state of one async solve. It is built once
 // (counters initialized, initially-ready cells enqueued) and then driven
-// by worker loops — either the engine's own goroutines (SolveAsync*) or
+// by worker loops — either the engine's own goroutines (SolveAsyncContext) or
 // scheduler workers running NewAsyncWorkload chunks.
 type asyncEngine[T any] struct {
 	k          *flatKernel[T]
@@ -353,25 +353,22 @@ func (e *asyncEngine[T]) firstIncompleteRow() int {
 	return e.rows
 }
 
-// SolveAsync fills the DP table with the asynchronous dependency-counter
-// executor: no wavefronts, no barriers — cells are scheduled the moment
-// their last dependency publishes. workers <= 0 selects the documented
-// default min(GOMAXPROCS, NumCPU).
-func SolveAsync[T any](p *Problem[T], workers int) (*table.Grid[T], error) {
-	return SolveAsyncOpt(p, Options{NativeWorkers: workers})
-}
-
-// SolveAsyncOpt is SolveAsync with the full native-runtime knobs of
-// Options (NativeWorkers, Collector, Tracer; NativeChunk has no meaning
-// here — the async schedule has no chunks).
+// SolveAsyncOpt is SolveAsyncContext without a context. It stays
+// because the perfbench module calls it.
 func SolveAsyncOpt[T any](p *Problem[T], opts Options) (*table.Grid[T], error) {
 	return SolveAsyncContext(context.Background(), p, opts)
 }
 
-// SolveAsyncContext is SolveAsyncOpt honoring a context: workers poll the
-// done channel at cell granularity and the interrupted solve returns
-// *Canceled with Front naming the first incomplete row (the async
-// schedule's progress unit — it has no wavefronts).
+// SolveAsyncContext fills the DP table with the asynchronous
+// dependency-counter executor: no wavefronts, no barriers — cells are
+// scheduled the moment their last dependency publishes. The Options
+// knobs honored are NativeWorkers (<= 0 selects min(GOMAXPROCS,
+// NumCPU)), Collector and Tracer; NativeChunk has no meaning here — the
+// async schedule has no chunks.
+//
+// Workers poll the done channel at cell granularity and the interrupted
+// solve returns *Canceled with Front naming the first incomplete row (the
+// async schedule's progress unit — it has no wavefronts).
 func SolveAsyncContext[T any](ctx context.Context, p *Problem[T], opts Options) (grid *table.Grid[T], err error) {
 	e, g, workers, err := newAsyncEngine(ctx, p, opts)
 	if err != nil {

@@ -21,12 +21,12 @@ type asyncSink struct {
 	ends    []error
 }
 
-func (s *asyncSink) SolveStart(info SolveInfo)         { s.starts = append(s.starts, info) }
-func (s *asyncSink) FrontSize(int)                     {}
-func (s *asyncSink) WorkerStats(ws WorkerStats)        { s.workers = append(s.workers, ws) }
-func (s *asyncSink) Transfer(TransferStats)            {}
+func (s *asyncSink) SolveStart(info SolveInfo)          { s.starts = append(s.starts, info) }
+func (s *asyncSink) FrontSize(int)                      {}
+func (s *asyncSink) WorkerStats(ws WorkerStats)         { s.workers = append(s.workers, ws) }
+func (s *asyncSink) Transfer(TransferStats)             {}
 func (s *asyncSink) Phase(name string, _ time.Duration) { s.phases = append(s.phases, name) }
-func (s *asyncSink) SolveEnd(err error)                { s.ends = append(s.ends, err) }
+func (s *asyncSink) SolveEnd(err error)                 { s.ends = append(s.ends, err) }
 
 // TestAsyncExpiredContext checks the async entry point returns promptly
 // with a *Canceled when handed an already-expired context.
@@ -295,7 +295,7 @@ func TestAsyncWorkloadCancelUnblocksLoops(t *testing.T) {
 func TestAsyncRejectsOversizedTables(t *testing.T) {
 	p := testProblem(DepW|DepN, 1, 1)
 	p.Rows, p.Cols = 1<<16, 1<<16 // 2^32 cells
-	_, err := SolveAsync(p, 2)
+	_, err := SolveAsyncContext(context.Background(), p, Options{NativeWorkers: 2})
 	if err == nil {
 		t.Fatal("expected an error for a 2^32-cell table")
 	}

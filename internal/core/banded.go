@@ -7,7 +7,7 @@ import (
 	"repro/internal/table"
 )
 
-// SolveBanded fills only the cells within |i-j| <= band of the DP table,
+// SolveBandedContext fills only the cells within |i-j| <= band of the DP table,
 // the classic Ukkonen band restriction for alignment-style anti-diagonal
 // problems. Cells outside the band are set to outOfBand(i, j), and in-band
 // cells observe that value when a contributing neighbour falls outside the
@@ -18,12 +18,9 @@ import (
 // <= band), at O(rows x band) cost instead of O(rows x cols). The caller
 // chooses outOfBand to be absorbing for the recurrence (+infinity for
 // minimizations).
-func SolveBanded[T any](p *Problem[T], band int, outOfBand BoundaryFunc[T]) (*table.Grid[T], error) {
-	return SolveBandedContext(context.Background(), p, band, outOfBand)
-}
-
-// SolveBandedContext is SolveBanded honoring a context, polled once per
-// row. A canceled solve returns a nil grid and a *Canceled error.
+//
+// ctx is polled once per row. A canceled solve returns a nil grid and a
+// *Canceled error.
 func SolveBandedContext[T any](ctx context.Context, p *Problem[T], band int, outOfBand BoundaryFunc[T]) (*table.Grid[T], error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

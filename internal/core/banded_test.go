@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -35,7 +36,7 @@ func TestSolveBandedWideBandMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Band covering the whole table: identical everywhere.
-	banded, err := SolveBanded(p, 40, bandedAbsorb)
+	banded, err := SolveBandedContext(context.Background(), p, 40, bandedAbsorb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestSolveBandedNeverBelowFull(t *testing.T) {
 	p := bandedMinProblem(50, 50)
 	full, _ := Solve(p)
 	for _, band := range []int{0, 1, 3, 10} {
-		banded, err := SolveBanded(p, band, bandedAbsorb)
+		banded, err := SolveBandedContext(context.Background(), p, band, bandedAbsorb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +70,7 @@ func TestSolveBandedExactWhenAnswerFits(t *testing.T) {
 	answer := full.At(59, 59)
 	// The square table's optimal path deviates at most `answer` cells from
 	// the diagonal, so a band of that width is exact.
-	banded, err := SolveBanded(p, int(answer), bandedAbsorb)
+	banded, err := SolveBandedContext(context.Background(), p, int(answer), bandedAbsorb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestSolveBandedExactWhenAnswerFits(t *testing.T) {
 
 func TestSolveBandedOutOfBandCellsHoldAbsorbingValue(t *testing.T) {
 	p := bandedMinProblem(20, 20)
-	banded, err := SolveBanded(p, 2, bandedAbsorb)
+	banded, err := SolveBandedContext(context.Background(), p, 2, bandedAbsorb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +95,14 @@ func TestSolveBandedOutOfBandCellsHoldAbsorbingValue(t *testing.T) {
 
 func TestSolveBandedErrors(t *testing.T) {
 	p := bandedMinProblem(4, 4)
-	if _, err := SolveBanded(p, -1, bandedAbsorb); err == nil {
+	if _, err := SolveBandedContext(context.Background(), p, -1, bandedAbsorb); err == nil {
 		t.Error("negative band should error")
 	}
-	if _, err := SolveBanded(p, 2, nil); err == nil {
+	if _, err := SolveBandedContext(context.Background(), p, 2, nil); err == nil {
 		t.Error("nil outOfBand should error")
 	}
 	bad := &Problem[int64]{Rows: 0, Cols: 1, Deps: DepN}
-	if _, err := SolveBanded(bad, 2, bandedAbsorb); err == nil {
+	if _, err := SolveBandedContext(context.Background(), bad, 2, bandedAbsorb); err == nil {
 		t.Error("invalid problem should error")
 	}
 }
@@ -137,7 +138,7 @@ func TestSolveBandedMonotoneProperty(t *testing.T) {
 		}
 		prev := int64(math.MaxInt64)
 		for band := 0; band <= rows+cols; band += 3 {
-			banded, err := SolveBanded(p, band, bandedAbsorb)
+			banded, err := SolveBandedContext(context.Background(), p, band, bandedAbsorb)
 			if err != nil {
 				return false
 			}

@@ -75,7 +75,7 @@ func TestExpiredContextAllExecutors(t *testing.T) {
 		{"resilient", func() error { _, _, err := SolveResilientContext(ctx, p, 3, nil); return err }},
 		{"lastrow", func() error { _, err := SolveLastRowContext(ctx, p); return err }},
 		{"seq3", func() error { _, err := Solve3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12)); return err }},
-		{"pool3", func() error { _, err := SolveParallel3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12), 4); return err }},
+		{"pool3", func() error { _, err := SolveParallel3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12), Options{NativeWorkers: 4}); return err }},
 		{"hetero3", func() error {
 			_, err := SolveHetero3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12), Options{TSwitch: -1, TShare: -1})
 			return err

@@ -1,8 +1,7 @@
 // Differential conformance suite: every public executor path must produce
 // the byte-identical table for every dependency mask on every adversarial
-// shape. The sequential solver is the oracle; SolveParallel (pool),
-// SolveParallelSpawn, SolveTiled, and scheduler-submitted solves are the
-// candidates. Instances are drawn from a seeded wraparound-mixing
+// shape. The sequential solver is the oracle; the pool, tiled and async
+// executors and scheduler-submitted solves are the candidates. Instances are drawn from a seeded wraparound-mixing
 // generator, so a failure report (mask, shape, executor, seed, first
 // mismatching cell) reproduces the instance exactly.
 //
@@ -87,26 +86,23 @@ type executorCase struct {
 // multi-chunk fronts and cross-front handoff even on small tables.
 func conformanceExecutors(s *sched.Scheduler) []executorCase {
 	return []executorCase{
-		{"SolveParallel", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return core.SolveParallel(p, 4)
+		{"SolveParallelContext", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
+			return core.SolveParallelContext(context.Background(), p, core.Options{NativeWorkers: 4})
 		}},
 		{"SolveParallelOpt/chunk7", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			return core.SolveParallelOpt(p, core.Options{NativeWorkers: 3, NativeChunk: 7})
 		}},
-		{"SolveParallelSpawn", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return core.SolveParallelSpawn(p, 4)
-		}},
-		{"SolveTiled", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return core.SolveTiled(p, 8, 4)
+		{"SolveTiledContext", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
+			return core.SolveTiledContext(context.Background(), p, 8, core.Options{NativeWorkers: 4})
 		}},
 		{"Scheduler", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			return sched.Solve(context.Background(), s, p, sched.SubmitOptions{Chunk: 8})
 		}},
-		{"SolveAsync", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return core.SolveAsync(p, 4)
+		{"SolveAsyncContext", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
+			return core.SolveAsyncContext(context.Background(), p, core.Options{NativeWorkers: 4})
 		}},
-		{"SolveAsync/1worker", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return core.SolveAsync(p, 1)
+		{"SolveAsyncContext/1worker", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
+			return core.SolveAsyncContext(context.Background(), p, core.Options{NativeWorkers: 1})
 		}},
 		{"SchedulerAsync", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			wl, finish, err := core.NewAsyncWorkload(context.Background(), p, core.Options{NativeWorkers: 3})
@@ -185,13 +181,13 @@ func TestConformanceSeedSweep(t *testing.T) {
 	defer s.Close()
 	execs := conformanceExecutors(s)
 	masks := []core.DepMask{
-		core.DepW | core.DepN,                            // anti-diagonal
-		core.DepN,                                        // horizontal
-		core.DepW,                                        // vertical (transposed)
-		core.DepNW,                                       // inverted-L
-		core.DepNE,                                       // mirrored inverted-L
-		core.DepW | core.DepNE,                           // knight-move
-		core.DepW | core.DepNW | core.DepN | core.DepNE,  // full mask
+		core.DepW | core.DepN,  // anti-diagonal
+		core.DepN,              // horizontal
+		core.DepW,              // vertical (transposed)
+		core.DepNW,             // inverted-L
+		core.DepNE,             // mirrored inverted-L
+		core.DepW | core.DepNE, // knight-move
+		core.DepW | core.DepNW | core.DepN | core.DepNE, // full mask
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		for _, m := range masks {

@@ -13,7 +13,8 @@
 // The package offers four solvers over a user-supplied Problem:
 //
 //   - Solve: sequential reference (row-major fill).
-//   - SolveParallel: real goroutine wavefront solver for multicore hosts.
+//   - SolveParallelContext: real goroutine wavefront solver for multicore
+//     hosts (SolveTiledContext and SolveAsyncContext are its alternatives).
 //   - SolveHetero: the paper's heterogeneous framework, executed against a
 //     simulated CPU+GPU platform (internal/hetsim); computes real cell
 //     values and a deterministic simulated timeline.

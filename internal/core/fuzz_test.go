@@ -119,7 +119,7 @@ func FuzzAsyncDeps(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		gotGrid, err := SolveAsync(p, int(workers%9))
+		gotGrid, err := SolveAsyncContext(context.Background(), p, Options{NativeWorkers: int(workers % 9)})
 		if err != nil {
 			t.Fatal(err)
 		}

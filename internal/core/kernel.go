@@ -163,8 +163,14 @@ func frontRunner[T any](p *Problem[T], w Wavefronts, g *table.Grid[T]) func(t, l
 			}
 		}
 	}
+	// Generic path: within a front all cells are independent, and all
+	// contributing neighbours lie on earlier fronts, so concurrent writers
+	// never touch a cell another worker reads.
 	rd := gridReader[T]{g}
 	return func(t, lo, hi int) {
-		computeFrontRange(p, rd, g, w, t, lo, hi)
+		for n := lo; n < hi; n++ {
+			i, j := w.Cell(t, n)
+			g.Set(i, j, p.F(i, j, gatherNeighbors(p, rd, i, j)))
+		}
 	}
 }

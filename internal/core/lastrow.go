@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// SolveLastRow computes only the final row of the DP table using a
+// SolveLastRowContext computes only the final row of the DP table using a
 // two-row rolling buffer: O(cols) memory instead of O(rows*cols). Every
 // contributing set drawn from {W, NW, N, NE} reads at most the previous
 // and current rows, so the rolling fill is exact for the whole class.
@@ -15,12 +15,9 @@ import (
 // memory; it cannot support traceback — use Solve (full table) or
 // problem-specific linear-space reconstructions like HirschbergLCS for
 // that.
-func SolveLastRow[T any](p *Problem[T]) ([]T, error) {
-	return SolveLastRowContext(context.Background(), p)
-}
-
-// SolveLastRowContext is SolveLastRow honoring a context, polled once per
-// row. A canceled solve returns a nil slice and a *Canceled error.
+//
+// ctx is polled once per row. A canceled solve returns a nil slice and a
+// *Canceled error.
 func SolveLastRowContext[T any](ctx context.Context, p *Problem[T]) ([]T, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

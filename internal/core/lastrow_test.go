@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 )
@@ -12,7 +13,7 @@ func TestSolveLastRowMatchesFullSolveAllMasks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		row, err := SolveLastRow(p)
+		row, err := SolveLastRowContext(context.Background(), p)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -30,7 +31,7 @@ func TestSolveLastRowMatchesFullSolveAllMasks(t *testing.T) {
 func TestSolveLastRowSingleRow(t *testing.T) {
 	p := testProblem(DepN|DepNW, 1, 9)
 	full, _ := Solve(p)
-	row, err := SolveLastRow(p)
+	row, err := SolveLastRowContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestSolveLastRowSingleRow(t *testing.T) {
 }
 
 func TestSolveLastRowValidates(t *testing.T) {
-	if _, err := SolveLastRow(&Problem[int64]{Rows: 0, Cols: 3, Deps: DepN}); err == nil {
+	if _, err := SolveLastRowContext(context.Background(), &Problem[int64]{Rows: 0, Cols: 3, Deps: DepN}); err == nil {
 		t.Error("expected validation error")
 	}
 }
@@ -60,7 +61,7 @@ func TestSolveLastRowProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		row, err := SolveLastRow(p)
+		row, err := SolveLastRowContext(context.Background(), p)
 		if err != nil {
 			return false
 		}

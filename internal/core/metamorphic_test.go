@@ -8,6 +8,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestMetamorphicVerticalIsTransposedHorizontal(t *testing.T) {
 		if !table.EqualComparable(direct, undo(viaT)) {
 			t.Errorf("mask=%s shape=%dx%d seed=%d: sequential Vertical != transposed Horizontal", m, rows, cols, seed)
 		}
-		parT, err := core.SolveParallel(tp, 4)
+		parT, err := core.SolveParallelContext(context.Background(), tp, core.Options{NativeWorkers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestMetamorphicMInvertedLIsMirroredInvertedL(t *testing.T) {
 		if !table.EqualComparable(direct, undo(viaM)) {
 			t.Errorf("shape=%dx%d seed=%d: sequential mInverted-L != mirrored Inverted-L", rows, cols, seed)
 		}
-		parM, err := core.SolveParallel(mp, 4)
+		parM, err := core.SolveParallelContext(context.Background(), mp, core.Options{NativeWorkers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +116,7 @@ func TestMetamorphicAsyncSymmetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		asyncDirect, err := core.SolveAsync(p, 4)
+		asyncDirect, err := core.SolveAsyncContext(context.Background(), p, core.Options{NativeWorkers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +124,7 @@ func TestMetamorphicAsyncSymmetry(t *testing.T) {
 			t.Errorf("shape=%dx%d seed=%d: async Vertical differs from sequential", rows, cols, seed)
 		}
 		tp, undo := core.Transposed(p)
-		viaT, err := core.SolveAsync(tp, 4)
+		viaT, err := core.SolveAsyncContext(context.Background(), tp, core.Options{NativeWorkers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func TestMetamorphicAsyncSymmetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		mp, mundo := core.MirroredColumns(pm)
-		viaM, err := core.SolveAsync(mp, 4)
+		viaM, err := core.SolveAsyncContext(context.Background(), mp, core.Options{NativeWorkers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestMetamorphicAsyncDeterminism(t *testing.T) {
 		}
 		wantDigest := gridDigest(want)
 		for rep := 0; rep < 8; rep++ {
-			g, err := core.SolveAsync(p, 4)
+			g, err := core.SolveAsyncContext(context.Background(), p, core.Options{NativeWorkers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -57,11 +57,11 @@ type Options struct {
 	// parameters quickly.
 	SkipCompute bool
 
-	// NativeWorkers is the worker count of the native pool runtime
-	// (SolveParallel / SolveParallelOpt). Zero or negative selects the
-	// default min(runtime.GOMAXPROCS(0), runtime.NumCPU()): the pool is
-	// compute-bound, so workers beyond the physical cores only lengthen
-	// the per-front barrier.
+	// NativeWorkers is the worker count of the native executors
+	// (SolveParallelContext, SolveAsyncContext, SolveTiledContext). Zero
+	// or negative selects the default min(runtime.GOMAXPROCS(0),
+	// runtime.NumCPU()): the pool is compute-bound, so workers beyond the
+	// physical cores only lengthen the per-front barrier.
 	NativeWorkers int
 
 	// NativeChunk is the number of cells a pool worker claims per atomic

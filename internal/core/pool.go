@@ -15,7 +15,7 @@ import (
 
 // Persistent worker-pool wavefront runtime.
 //
-// The seed SolveParallel spawned fresh goroutines and took a full
+// The seed native executor spawned fresh goroutines and took a full
 // sync.WaitGroup barrier on every wavefront: for an 8k x 8k anti-diagonal
 // problem that is ~16k spawn/barrier cycles, exactly the dispatch-overhead
 // regime the paper's t_switch analysis warns about on the GPU side. This
@@ -501,8 +501,8 @@ func bandWork(w, workers, rows, lo, hi int, needLeft, needRight bool, fromLeft, 
 	}
 }
 
-// solveParallelPool is the pool-backed native solve shared by SolveParallel
-// and SolveParallelOpt: canonicalize, build the flat kernel, and drive it
+// solveParallelPool is the pool-backed native solve behind
+// SolveParallelContext and SolveParallelOpt: canonicalize, build the flat kernel, and drive it
 // with the band runtime (Horizontal, unless disabled) or the barrier pool.
 func solveParallelPool[T any](ctx context.Context, p *Problem[T], opts Options) (grid *table.Grid[T], err error) {
 	if err := p.Validate(); err != nil {

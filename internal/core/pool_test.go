@@ -120,25 +120,6 @@ func TestPoolAllMasks(t *testing.T) {
 	}
 }
 
-// TestSolveParallelSpawnStillMatches keeps the legacy spawn executor
-// honest while it serves as the ablation baseline.
-func TestSolveParallelSpawnStillMatches(t *testing.T) {
-	for _, m := range patternMasks {
-		p := testProblem(m, 70, 59)
-		want, err := Solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SolveParallelSpawn(p, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !table.EqualComparable(want, got) {
-			t.Fatalf("mask %s: spawn executor differs from Solve", m)
-		}
-	}
-}
-
 // TestRunWavefrontsCoverage checks the raw pool driver claims every cell
 // of every front exactly once, independent of any grid.
 func TestRunWavefrontsCoverage(t *testing.T) {

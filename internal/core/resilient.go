@@ -24,16 +24,12 @@ import (
 // memory actually retains. A nil FaultFunc is perfect memory.
 type FaultFunc[T any] func(replica, i, j int, v T) T
 
-// SolveResilient fills the DP table with replicated, majority-voted
-// storage. The returned grid is the majority-reconstructed table; the
-// second result counts cells at which at least one replica disagreed with
-// the majority (detected-and-corrected faults).
-func SolveResilient[T comparable](p *Problem[T], replicas int, fault FaultFunc[T]) (*table.Grid[T], int, error) {
-	return SolveResilientContext(context.Background(), p, replicas, fault)
-}
-
-// SolveResilientContext is SolveResilient honoring a context, polled once
-// per row. A canceled solve returns a nil grid and a *Canceled error.
+// SolveResilientContext fills the DP table with replicated,
+// majority-voted storage. The returned grid is the majority-reconstructed
+// table; the second result counts cells at which at least one replica
+// disagreed with the majority (detected-and-corrected faults). ctx is
+// polled once per row; a canceled solve returns a nil grid and a
+// *Canceled error.
 func SolveResilientContext[T comparable](ctx context.Context, p *Problem[T], replicas int, fault FaultFunc[T]) (*table.Grid[T], int, error) {
 	if err := p.Validate(); err != nil {
 		return nil, 0, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +30,7 @@ func TestSolveResilientPerfectMemory(t *testing.T) {
 	p := testProblem(DepW|DepN, 20, 20)
 	want, _ := Solve(p)
 	for _, replicas := range []int{1, 3, 5} {
-		got, corrected, err := SolveResilient(p, replicas, nil)
+		got, corrected, err := SolveResilientContext(context.Background(), p, replicas, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func TestSolveResilientMasksFaultsWithTripleRedundancy(t *testing.T) {
 	// cells the expected double-fault count is 900 * 3 * 0.01^2 ~ 0.27.
 	p := testProblem(DepW|DepNW|DepN, 30, 30)
 	want, _ := Solve(p)
-	got, corrected, err := SolveResilient(p, 3, flipFault(11, 1))
+	got, corrected, err := SolveResilientContext(context.Background(), p, 3, flipFault(11, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestSolveResilientMasksFaultsWithTripleRedundancy(t *testing.T) {
 func TestSolveResilientSingleReplicaCorrupts(t *testing.T) {
 	p := testProblem(DepW|DepNW|DepN, 40, 40)
 	want, _ := Solve(p)
-	got, corrected, err := SolveResilient(p, 1, flipFault(11, 5))
+	got, corrected, err := SolveResilientContext(context.Background(), p, 1, flipFault(11, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +79,11 @@ func TestSolveResilientSingleReplicaCorrupts(t *testing.T) {
 
 func TestSolveResilientValidates(t *testing.T) {
 	p := testProblem(DepN, 4, 4)
-	if _, _, err := SolveResilient(p, 0, nil); err == nil {
+	if _, _, err := SolveResilientContext(context.Background(), p, 0, nil); err == nil {
 		t.Error("replicas=0 should error")
 	}
 	bad := &Problem[int64]{Rows: 0, Cols: 1, Deps: DepN}
-	if _, _, err := SolveResilient(bad, 3, nil); err == nil {
+	if _, _, err := SolveResilientContext(context.Background(), bad, 3, nil); err == nil {
 		t.Error("invalid problem should error")
 	}
 }
@@ -108,7 +109,7 @@ func TestSolveResilientSingleReplicaFaultsAlwaysMasked(t *testing.T) {
 			}
 			return v
 		}
-		got, _, err := SolveResilient(p, 3, onlyFirst)
+		got, _, err := SolveResilientContext(context.Background(), p, 3, onlyFirst)
 		if err != nil {
 			return false
 		}
@@ -122,7 +123,7 @@ func TestSolveResilientSingleReplicaFaultsAlwaysMasked(t *testing.T) {
 // The detected-fault count roughly tracks the injection rate.
 func TestSolveResilientCorrectionAccounting(t *testing.T) {
 	p := testProblem(DepN, 50, 50)
-	_, corrected, err := SolveResilient(p, 3, flipFault(99, 10))
+	_, corrected, err := SolveResilientContext(context.Background(), p, 3, flipFault(99, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,24 +60,14 @@ func forEachPlaneCell[T any](p *Problem3[T], s, lo, hi int, fn func(i, j, k int)
 	}
 }
 
-// SolveParallel3 fills the table with real goroutines over anti-diagonal
-// planes: all cells of a plane are mutually independent for every
-// contributing set (each predecessor lowers i+j+k by at least 1).
-func SolveParallel3[T any](p *Problem3[T], workers int) (*table.Grid3[T], error) {
-	return SolveParallel3Context(context.Background(), p, workers)
-}
-
-// SolveParallel3Context is SolveParallel3 honoring a context, polled by the
-// pool once per chunk claim. A canceled solve returns a nil grid and a
-// *Canceled error.
-func SolveParallel3Context[T any](ctx context.Context, p *Problem3[T], workers int) (*table.Grid3[T], error) {
-	return SolveParallel3Opt(ctx, p, Options{NativeWorkers: workers})
-}
-
-// SolveParallel3Opt is SolveParallel3Context with the full Options set:
-// NativeWorkers/NativeChunk sizing plus the Collector and Tracer sinks
-// wired through the pool runtime exactly as in the 2-D executors.
-func SolveParallel3Opt[T any](ctx context.Context, p *Problem3[T], opts Options) (grid *table.Grid3[T], err error) {
+// SolveParallel3Context fills the table with real goroutines over
+// anti-diagonal planes: all cells of a plane are mutually independent for
+// every contributing set (each predecessor lowers i+j+k by at least 1).
+// Options carries NativeWorkers/NativeChunk sizing plus the Collector and
+// Tracer sinks, wired through the pool runtime exactly as in the 2-D
+// executors. ctx is polled once per chunk claim; a canceled solve returns
+// a nil grid and a *Canceled error.
+func SolveParallel3Context[T any](ctx context.Context, p *Problem3[T], opts Options) (grid *table.Grid3[T], err error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

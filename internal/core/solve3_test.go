@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -119,7 +120,7 @@ func TestSolveParallel3MatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := SolveParallel3(p, 4)
+			got, err := SolveParallel3Context(context.Background(), p, Options{NativeWorkers: 4})
 			if err != nil {
 				t.Fatalf("%s %v: %v", m, d, err)
 			}
@@ -194,7 +195,7 @@ func TestSolve3EquivalenceFuzz(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		par, err := SolveParallel3(p, 2)
+		par, err := SolveParallel3Context(context.Background(), p, Options{NativeWorkers: 2})
 		if err != nil || !table.Equal3(want, par) {
 			return false
 		}
@@ -235,7 +236,7 @@ func TestSolveTiled3MatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := SolveTiled3(p, tile, 3)
+			got, err := SolveTiled3Context(context.Background(), p, tile, 3)
 			if err != nil {
 				t.Fatalf("%s tile=%d: %v", m, tile, err)
 			}
@@ -248,10 +249,10 @@ func TestSolveTiled3MatchesSequential(t *testing.T) {
 
 func TestSolveTiled3Errors(t *testing.T) {
 	p := testProblem3(Dep3X, 3, 3, 3)
-	if _, err := SolveTiled3(p, 0, 2); err == nil {
+	if _, err := SolveTiled3Context(context.Background(), p, 0, 2); err == nil {
 		t.Error("tile 0 should error")
 	}
-	if _, err := SolveTiled3(&Problem3[int64]{NX: 0, NY: 1, NZ: 1, Deps: Dep3X}, 2, 2); err == nil {
+	if _, err := SolveTiled3Context(context.Background(), &Problem3[int64]{NX: 0, NY: 1, NZ: 1, Deps: Dep3X}, 2, 2); err == nil {
 		t.Error("invalid problem should error")
 	}
 }
@@ -266,7 +267,7 @@ func TestSolveTiled3Property(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := SolveTiled3(p, int(tl%5)+1, 2)
+		got, err := SolveTiled3Context(context.Background(), p, int(tl%5)+1, 2)
 		if err != nil {
 			return false
 		}
@@ -285,7 +286,7 @@ func TestSolveParallel3LargePlanesChunked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SolveParallel3(p, 0)
+	got, err := SolveParallel3Context(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

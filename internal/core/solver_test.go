@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/hetsim"
@@ -94,7 +95,7 @@ func TestSolveIntoMatchesSolve(t *testing.T) {
 	}
 }
 
-// SolveParallel must agree with Solve for every contributing set (which
+// SolveParallelContext must agree with Solve for every contributing set (which
 // exercises every canonical pattern and both symmetry reductions) and for
 // shapes wider, taller, and degenerate.
 func TestSolveParallelMatchesSequential(t *testing.T) {
@@ -106,12 +107,12 @@ func TestSolveParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := SolveParallel(p, 4)
+			got, err := SolveParallelContext(context.Background(), p, Options{NativeWorkers: 4})
 			if err != nil {
 				t.Fatalf("%s %v: %v", m, d, err)
 			}
 			if !table.EqualComparable(want, got) {
-				t.Errorf("%s %dx%d: SolveParallel differs from Solve", m, d[0], d[1])
+				t.Errorf("%s %dx%d: SolveParallelContext differs from Solve", m, d[0], d[1])
 			}
 		}
 	}
@@ -120,7 +121,7 @@ func TestSolveParallelMatchesSequential(t *testing.T) {
 func TestSolveParallelSingleWorker(t *testing.T) {
 	p := testProblem(DepW|DepNE, 20, 20)
 	want, _ := Solve(p)
-	got, err := SolveParallel(p, 1)
+	got, err := SolveParallelContext(context.Background(), p, Options{NativeWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSolveParallelLargeFronts(t *testing.T) {
 	// real goroutine fan-out happens.
 	p := testProblem(DepNW|DepN|DepNE, 40, 2000)
 	want, _ := Solve(p)
-	got, err := SolveParallel(p, 0) // GOMAXPROCS default
+	got, err := SolveParallelContext(context.Background(), p, Options{}) // GOMAXPROCS default
 	if err != nil {
 		t.Fatal(err)
 	}

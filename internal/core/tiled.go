@@ -8,7 +8,7 @@ import (
 	"repro/internal/trace"
 )
 
-// SolveTiled fills the DP table with the cache-efficient tiled scheme of
+// SolveTiledContext fills the DP table with the cache-efficient tiled scheme of
 // the CPU-only line of work the paper builds on (Chowdhury & Ramachandran's
 // CMP algorithms): the table is partitioned into blocks, blocks are
 // scheduled along *block-level* wavefronts, blocks on a front run on
@@ -24,17 +24,14 @@ import (
 // under which every dependency points to the current or previous row of
 // blocks.
 //
-// This is the framework's multicore *baseline*: SolveParallel
-// barrier-synchronizes every cell wavefront, while SolveTiled barriers once
-// per block wavefront and touches memory block by block.
-func SolveTiled[T any](p *Problem[T], tile, workers int) (*table.Grid[T], error) {
-	return SolveTiledContext(context.Background(), p, tile, Options{NativeWorkers: workers})
-}
-
-// SolveTiledContext is SolveTiled honoring a context (polled by the block
-// pool once per claim) and an Options carrying the worker count
-// (Options.NativeWorkers) and an optional Collector. A canceled solve
-// returns a nil grid and a *Canceled error.
+// This is the framework's multicore *baseline*: SolveParallelContext
+// barrier-synchronizes every cell wavefront, while SolveTiledContext
+// barriers once per block wavefront and touches memory block by block.
+//
+// Options carries the worker count (NativeWorkers) and the optional
+// Collector and Tracer. ctx is polled by the block pool once per claim; a
+// canceled solve returns a nil grid and a *Canceled error. The perfbench
+// module calls this entry point.
 func SolveTiledContext[T any](ctx context.Context, p *Problem[T], tile int, opts Options) (grid *table.Grid[T], err error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -8,7 +8,7 @@ import (
 	"repro/internal/table"
 )
 
-// SolveTiled3 is the 3-D analogue of SolveTiled: the box is partitioned
+// SolveTiled3Context is the 3-D analogue of SolveTiledContext: the box is partitioned
 // into tile^3 blocks, blocks are scheduled along block-level anti-diagonal
 // planes (bi+bj+bk = s), blocks on a plane run on separate goroutines, and
 // each block fills lexicographically for locality.
@@ -18,13 +18,10 @@ import (
 // read cells in blocks that are component-wise <= B — all on strictly
 // earlier block planes or equal to B itself (and within a block,
 // lexicographic fill order is safe for the same reason).
-func SolveTiled3[T any](p *Problem3[T], tile, workers int) (*table.Grid3[T], error) {
-	return SolveTiled3Context(context.Background(), p, tile, workers)
-}
-
-// SolveTiled3Context is SolveTiled3 honoring a context, polled once per
-// block plane (between barriers, so no goroutine is abandoned mid-flight).
-// A canceled solve returns a nil grid and a *Canceled error.
+//
+// ctx is polled once per block plane (between barriers, so no goroutine
+// is abandoned mid-flight). A canceled solve returns a nil grid and a
+// *Canceled error.
 func SolveTiled3Context[T any](ctx context.Context, p *Problem3[T], tile, workers int) (*table.Grid3[T], error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

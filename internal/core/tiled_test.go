@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +16,7 @@ func TestSolveTiledMatchesSequentialAllMasks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := SolveTiled(p, tile, 4)
+			got, err := SolveTiledContext(context.Background(), p, tile, Options{NativeWorkers: 4})
 			if err != nil {
 				t.Fatalf("%s tile=%d: %v", m, tile, err)
 			}
@@ -29,7 +30,7 @@ func TestSolveTiledMatchesSequentialAllMasks(t *testing.T) {
 func TestSolveTiledOversizedTile(t *testing.T) {
 	p := testProblem(DepW|DepN, 10, 10)
 	want, _ := Solve(p)
-	got, err := SolveTiled(p, 100, 2)
+	got, err := SolveTiledContext(context.Background(), p, 100, Options{NativeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestSolveTiledOversizedTile(t *testing.T) {
 func TestSolveTiledSingleWorker(t *testing.T) {
 	p := testProblem(DepW|DepNE, 33, 17)
 	want, _ := Solve(p)
-	got, err := SolveTiled(p, 5, 1)
+	got, err := SolveTiledContext(context.Background(), p, 5, Options{NativeWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +53,13 @@ func TestSolveTiledSingleWorker(t *testing.T) {
 
 func TestSolveTiledRejectsBadTile(t *testing.T) {
 	p := testProblem(DepN, 4, 4)
-	if _, err := SolveTiled(p, 0, 2); err == nil {
+	if _, err := SolveTiledContext(context.Background(), p, 0, Options{NativeWorkers: 2}); err == nil {
 		t.Error("tile 0 should error")
 	}
 }
 
 func TestSolveTiledValidates(t *testing.T) {
-	if _, err := SolveTiled(&Problem[int64]{Rows: 0, Cols: 1, Deps: DepN}, 4, 2); err == nil {
+	if _, err := SolveTiledContext(context.Background(), &Problem[int64]{Rows: 0, Cols: 1, Deps: DepN}, 4, Options{NativeWorkers: 2}); err == nil {
 		t.Error("invalid problem should error")
 	}
 }
@@ -77,7 +78,7 @@ func TestSolveTiledProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := SolveTiled(p, tile, 3)
+		got, err := SolveTiledContext(context.Background(), p, tile, Options{NativeWorkers: 3})
 		if err != nil {
 			return false
 		}

@@ -127,8 +127,8 @@ func Registry() []Experiment {
 			"The makespan of GPU-only vs framework runs decomposed into launch, dispatch, compute and transfer time.", RunExtBottleneck, false},
 		{"ext-energy", "Extension: modeled energy",
 			"Energy of CPU-only, GPU-only and framework runs under TDP-class power draws.", RunExtEnergy, false},
-		{"ablation-native-pool", "Ablation A7: persistent pool vs spawn-per-front native executor",
-			"Real wall-clock times of the pool wavefront runtime (dynamic chunking, epoch barrier, row-band lookahead) against the spawn baseline.", RunNativePool, true},
+		{"ablation-native-pool", "Ablation A7: native pool runtime, barrier vs lookahead and chunk size",
+			"Real wall-clock times of the pool wavefront runtime: epoch barrier vs row-band lookahead, and a dynamic chunk-size sweep.", RunNativePool, true},
 	}
 }
 

@@ -1,6 +1,7 @@
 package problems
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -71,7 +72,7 @@ func TestAffineAlignAllSolversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := core.SolveParallel(p, 3)
+	par, err := core.SolveParallelContext(context.Background(), p, core.Options{NativeWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestAffineAlignAllSolversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiled, err := core.SolveTiled(p, 7, 3)
+	tiled, err := core.SolveTiledContext(context.Background(), p, 7, core.Options{NativeWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package problems
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/core"
@@ -19,7 +20,7 @@ const levBandInf = int32(math.MaxInt32 / 4)
 // Cost is O(max(len(a),len(b)) * band) instead of O(len(a)*len(b)).
 func BandedLevenshtein(a, b string, band int) (int32, *table.Grid[int32], error) {
 	p := Levenshtein(a, b)
-	g, err := core.SolveBanded(p, band, func(i, j int) int32 { return levBandInf })
+	g, err := core.SolveBandedContext(context.Background(), p, band, func(i, j int) int32 { return levBandInf })
 	if err != nil {
 		return 0, nil, err
 	}

@@ -1,6 +1,7 @@
 package problems
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/core"
@@ -64,7 +65,7 @@ func DTWRef(x, y []float64) float64 {
 // upper bound otherwise; cost drops to O(n*band).
 func DTWBanded(x, y []float64, band int) (float64, error) {
 	p := DTW(x, y)
-	g, err := core.SolveBanded(p, band, func(i, j int) float64 { return math.Inf(1) })
+	g, err := core.SolveBandedContext(context.Background(), p, band, func(i, j int) float64 { return math.Inf(1) })
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package problems
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -97,7 +98,7 @@ func TestDelannoyCentralNumbers(t *testing.T) {
 }
 
 func TestDelannoySymmetry(t *testing.T) {
-	g, err := core.SolveParallel(Delannoy(30, 30), 3)
+	g, err := core.SolveParallelContext(context.Background(), Delannoy(30, 30), core.Options{NativeWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestDelannoyAllSolversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiled, err := core.SolveTiled(p, 7, 2)
+	tiled, err := core.SolveTiledContext(context.Background(), p, 7, core.Options{NativeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

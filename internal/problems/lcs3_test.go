@@ -1,6 +1,7 @@
 package problems
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -46,7 +47,7 @@ func TestLCS3AllSolversAgree(t *testing.T) {
 	if got := LCS3Length(want, a, b, c); got != ref {
 		t.Fatalf("sequential %d != ref %d", got, ref)
 	}
-	par, err := core.SolveParallel3(p, 3)
+	par, err := core.SolveParallel3Context(context.Background(), p, core.Options{NativeWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

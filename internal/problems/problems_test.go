@@ -1,6 +1,7 @@
 package problems
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -115,7 +116,7 @@ func TestNeedlemanWunschKnown(t *testing.T) {
 func TestNeedlemanWunschFrameworkMatchesRef(t *testing.T) {
 	a, b := workload.SimilarStrings(21, 180, workload.DNAAlphabet, 0.2)
 	s := DefaultAlignScores()
-	res, err := core.SolveParallel(NeedlemanWunsch(a, b, s), 3)
+	res, err := core.SolveParallelContext(context.Background(), NeedlemanWunsch(a, b, s), core.Options{NativeWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestCheckerboardFrameworkMatchesRef(t *testing.T) {
 
 func TestSeamCarve(t *testing.T) {
 	energy := workload.EnergyGrid(9, 60, 80)
-	res, err := core.SolveParallel(SeamCarve(energy), 2)
+	res, err := core.SolveParallelContext(context.Background(), SeamCarve(energy), core.Options{NativeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestAllProblemsAllSolversAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		par, err := core.SolveParallel(p, 4)
+		par, err := core.SolveParallelContext(context.Background(), p, core.Options{NativeWorkers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}

@@ -112,10 +112,8 @@ func (s *Server) ValidateBandRequest(req *api.BandRequest) (lddp.DepMask, error)
 		return 0, fmt.Errorf("block rows [%d,%d) x cols [%d,%d) outside the %dx%d table",
 			req.Row0, req.Row1, req.Col0, req.Col1, req.Rows, req.Cols)
 	}
-	switch req.Strategy {
-	case "", "auto", "parallel", "async":
-	default:
-		return 0, fmt.Errorf("unknown strategy %q (want auto, parallel or async)", req.Strategy)
+	if _, err := wireStrategy(req.Strategy); err != nil {
+		return 0, err
 	}
 	switch req.Workload.Kind {
 	case "", api.KindMix, api.KindServe, api.KindCost, api.KindAlign:
@@ -283,13 +281,8 @@ func (s *Server) handleBandSolve(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
 		defer cancel()
 	}
-	opts := []lddp.Option{}
-	switch req.Strategy {
-	case "parallel":
-		opts = append(opts, lddp.WithStrategy(lddp.Parallel))
-	case "async":
-		opts = append(opts, lddp.WithStrategy(lddp.Async))
-	}
+	strategy, _ := wireStrategy(req.Strategy) // validated above
+	opts := []lddp.Option{lddp.WithStrategy(strategy)}
 	if req.Chunk > 0 {
 		opts = append(opts, lddp.WithChunk(req.Chunk))
 	}

@@ -93,7 +93,7 @@ func keyForRequest(req *api.SolveRequest, deps lddp.DepMask) cacheKey {
 		k.kind = api.KindMix
 	}
 	if k.strategy == "" {
-		k.strategy = "auto"
+		k.strategy = lddp.Auto.String()
 	}
 	if req.Workload.Cells != nil {
 		h := wire.DigestInit()

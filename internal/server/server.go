@@ -512,13 +512,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
 		defer cancel()
 	}
-	opts := []lddp.Option{}
-	switch req.Strategy {
-	case "parallel":
-		opts = append(opts, lddp.WithStrategy(lddp.Parallel))
-	case "async":
-		opts = append(opts, lddp.WithStrategy(lddp.Async))
-	}
+	strategy, _ := wireStrategy(req.Strategy) // validated above
+	opts := []lddp.Option{lddp.WithStrategy(strategy)}
 	if req.Chunk > 0 {
 		opts = append(opts, lddp.WithChunk(req.Chunk))
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -11,6 +12,8 @@ import (
 	"testing"
 
 	"repro/internal/server"
+	"repro/lddp"
+	"repro/lddp/api"
 	"repro/lddp/client"
 )
 
@@ -262,5 +265,38 @@ func TestInlineCellsValidation(t *testing.T) {
 	resp = postJSON(t, ts.URL, `{"rows":2,"cols":2,"workload":{"kind":"cost","cells":[[1,2]]}}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("misshapen inline payload: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestValidateStrategyTable: both validators accept "" and exactly the
+// scheduled rows of lddp's strategy table, and refuse every other name
+// with the same error text.
+func TestValidateStrategyTable(t *testing.T) {
+	srv, _, _ := newTestService(t, server.Config{Workers: 1})
+	names := []string{"", "bogus"}
+	for _, row := range lddp.Strategies() {
+		names = append(names, row.Name)
+	}
+	for _, name := range names {
+		s, err := lddp.ParseStrategy(name)
+		want := ""
+		if name != "" && (err != nil || !s.Info().Scheduled) {
+			want = fmt.Sprintf("unknown strategy %q (want auto, parallel or async)", name)
+		}
+		_, bandErr := srv.ValidateBandRequest(&api.BandRequest{
+			Rows: 8, Cols: 8, Row1: 8, Col1: 8, Strategy: name,
+		})
+		for which, err := range map[string]error{
+			"solve": srv.ValidateRequest(&api.SolveRequest{Rows: 8, Cols: 8, Strategy: name}),
+			"band":  bandErr,
+		} {
+			got := ""
+			if err != nil {
+				got = err.Error()
+			}
+			if got != want {
+				t.Errorf("%s validator, strategy %q: error %q, want %q", which, name, got, want)
+			}
+		}
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/sched"
+	"repro/lddp"
 	"repro/lddp/api"
 )
 
@@ -47,6 +49,21 @@ func ParseSolveRequest(r io.Reader) (*api.SolveRequest, error) {
 	return &req, nil
 }
 
+// wireStrategy maps a request's strategy name onto lddp's strategy
+// table. Empty selects Auto, and only the table's scheduled rows are
+// accepted: every wire solve runs on the shared scheduler.
+func wireStrategy(name string) (lddp.Strategy, error) {
+	if name == "" {
+		return lddp.Auto, nil
+	}
+	if s, err := lddp.ParseStrategy(name); err == nil && s.Info().Scheduled {
+		return s, nil
+	}
+	want := lddp.StrategyNames(func(row lddp.StrategyInfo) bool { return row.Scheduled })
+	last := len(want) - 1
+	return 0, fmt.Errorf("unknown strategy %q (want %s or %s)", name, strings.Join(want[:last], ", "), want[last])
+}
+
 // ValidateRequest checks a decoded request against the server's caps.
 // A nil error guarantees BuildProblem accepts the request (up to the
 // mask/kind cross-checks BuildProblem itself reports).
@@ -58,10 +75,8 @@ func (s *Server) ValidateRequest(req *api.SolveRequest) error {
 	if cells > s.cfg.MaxCells {
 		return fmt.Errorf("table size %dx%d exceeds the per-request cap of %d cells", req.Rows, req.Cols, s.cfg.MaxCells)
 	}
-	switch req.Strategy {
-	case "", "auto", "parallel", "async":
-	default:
-		return fmt.Errorf("unknown strategy %q (want auto, parallel or async)", req.Strategy)
+	if _, err := wireStrategy(req.Strategy); err != nil {
+		return err
 	}
 	switch req.Workload.Kind {
 	case "", api.KindMix, api.KindServe, api.KindCost, api.KindAlign:

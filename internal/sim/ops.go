@@ -331,17 +331,22 @@ func (g *generator) pruneReplayable() {
 	g.replayable = kept
 }
 
+// solveStrategies is what a generated solve op's strategy field draws
+// from: "" (the wire default) followed by the scheduled rows of lddp's
+// strategy table, in table order.
+var solveStrategies = append([]string{""},
+	lddp.StrategyNames(func(row lddp.StrategyInfo) bool { return row.Scheduled })...)
+
 func (g *generator) solveShape(masks []lddp.DepMask) (kind, mask, strategy string, rows, cols int, seed int64) {
 	kind = []string{api.KindMix, api.KindServe, api.KindCost, api.KindAlign}[g.rng.Intn(4)]
 	mask = masks[g.rng.Intn(len(masks))].String()
 	if _, err := api.ResolveMask(kind, mask); err != nil {
 		mask = "" // align rejects everything but its fixed mask
 	}
-	// The async dependency-counter executor rides a deterministic subset
-	// of solves (seeded rng, so recorded schedules replay identically),
-	// putting it under the same kills, drains, cancels and wire faults
-	// as the barrier executors.
-	strategy = []string{"", "auto", "parallel", "async"}[g.rng.Intn(4)]
+	// Each wire strategy rides a deterministic subset of solves (seeded
+	// rng, so recorded schedules replay identically), under the same
+	// kills, drains, cancels and wire faults.
+	strategy = solveStrategies[g.rng.Intn(len(solveStrategies))]
 	rows = 2 + g.rng.Intn(g.cfg.MaxDim-1)
 	cols = 2 + g.rng.Intn(g.cfg.MaxDim-1)
 	seed = g.rng.Int63()

@@ -11,6 +11,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/lddp"
 )
 
 // TestGenerateDeterministic: same config, same schedule — field for
@@ -41,7 +43,18 @@ func TestGenerateDeterministic(t *testing.T) {
 // TestGenerateIncludesAsyncStrategy: schedule generation must route a
 // deterministic subset of solve ops through the async executor, so the
 // scenario engine exercises it under faults like every other strategy.
+// The draw list is "" then the strategy table's scheduled rows in table
+// order; pinning it keeps every seed's op log replaying byte-identically.
 func TestGenerateIncludesAsyncStrategy(t *testing.T) {
+	want := []string{""}
+	for _, row := range lddp.Strategies() {
+		if row.Scheduled {
+			want = append(want, row.Name)
+		}
+	}
+	if !reflect.DeepEqual(solveStrategies, want) || !reflect.DeepEqual(want, []string{"", "auto", "parallel", "async"}) {
+		t.Fatalf("solve strategies %q, table's scheduled rows %q; want [\"\" auto parallel async]", solveStrategies, want)
+	}
 	s := Generate(GenConfig{Seed: 42, Nodes: 3, Ops: 200})
 	counts := map[string]int{}
 	for _, op := range s.Ops {

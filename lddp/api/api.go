@@ -23,9 +23,11 @@ type SolveRequest struct {
 	// workload kind's default mask.
 	Mask string `json:"mask,omitempty"`
 
-	// Strategy selects the executor: "auto" (default), "parallel", or
-	// "async" (the barrier-free dependency-counter executor) — the
-	// strategies the shared scheduler can run.
+	// Strategy names the executor: any scheduled row of lddp's strategy
+	// table (lddp.Strategies), today "auto" (the default when empty),
+	// "parallel" or "async" (the barrier-free dependency-counter
+	// executor). The other rows cannot run on the shared scheduler and
+	// are refused.
 	Strategy string `json:"strategy,omitempty"`
 
 	// Workload selects the problem generator; the zero value is the

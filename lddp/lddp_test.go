@@ -40,9 +40,49 @@ func testProblem(m lddp.DepMask, rows, cols int) *lddp.Problem[int64] {
 	}
 }
 
+// TestStrategyTableRoundTrip: every row of the strategy table sits at its
+// own index, and its name round-trips through String and ParseStrategy.
+func TestStrategyTableRoundTrip(t *testing.T) {
+	for i, row := range lddp.Strategies() {
+		if int(row.Strategy) != i {
+			t.Errorf("row %d holds strategy %d", i, int(row.Strategy))
+		}
+		if row.Strategy.String() != row.Name {
+			t.Errorf("%d.String() = %q, want %q", i, row.Strategy.String(), row.Name)
+		}
+		if got, err := lddp.ParseStrategy(row.Name); err != nil || got != row.Strategy {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", row.Name, got, err, row.Strategy)
+		}
+		if row.Strategy.Info() != row {
+			t.Errorf("%s.Info() = %+v, want %+v", row.Name, row.Strategy.Info(), row)
+		}
+	}
+	for _, name := range []string{"", "seq", "Parallel"} {
+		if _, err := lddp.ParseStrategy(name); err == nil {
+			t.Errorf("ParseStrategy(%q) accepted", name)
+		}
+	}
+}
+
+// TestAcceleratorByName resolves every accelerator WithAccelerators
+// accepts and refuses an unknown one.
+func TestAcceleratorByName(t *testing.T) {
+	for _, n := range []string{"k20", "gt650m", "phi"} {
+		a, err := lddp.AcceleratorByName(n)
+		if err != nil || a.Name != n {
+			t.Errorf("AcceleratorByName(%s) = %v, %v", n, a, err)
+		}
+	}
+	if _, err := lddp.AcceleratorByName("nope"); err == nil {
+		t.Error("unknown name should error")
+	}
+}
+
 // TestSolveMatchesReferenceAllMasksAllStrategies checks lddp.Solve
 // reproduces the sequential reference for every one of the 15 contributing
-// sets on every grid-producing strategy.
+// sets on every grid-producing row of the strategy table (Multi needs
+// accelerators and a horizontal pattern; TestSolveMultiStrategy covers
+// it).
 func TestSolveMatchesReferenceAllMasksAllStrategies(t *testing.T) {
 	ctx := context.Background()
 	for _, m := range core.AllDepMasks() {
@@ -51,10 +91,11 @@ func TestSolveMatchesReferenceAllMasksAllStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mask %s: reference solve: %v", m, err)
 		}
-		for _, s := range []lddp.Strategy{
-			lddp.Auto, lddp.Sequential, lddp.Parallel, lddp.Tiled,
-			lddp.Hetero, lddp.SimCPU, lddp.SimGPU, lddp.Async,
-		} {
+		for _, row := range lddp.Strategies() {
+			s := row.Strategy
+			if s == lddp.Multi {
+				continue
+			}
 			res, err := lddp.Solve(ctx, p, lddp.WithStrategy(s), lddp.WithWorkers(3))
 			if err != nil {
 				t.Fatalf("mask %s strategy %s: %v", m, s, err)

@@ -3,6 +3,7 @@ package lddp
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -148,7 +149,8 @@ func (s *Submission[T]) Wait() (*Grid[T], error) {
 // per-submission Tracer recording queue wait, chunk claims, and steals);
 // WithWorkers is ignored — the scheduler owns the pool — and WithCollector
 // is rejected in favor of the scheduler-wide WithSchedulerCollector.
-// Only the Auto, Parallel and Async strategies can run on the scheduler.
+// Only the strategy table's scheduled rows (Auto, Parallel and Async)
+// can run on the scheduler.
 //
 // An Async submission is a single front of independent worker loops over
 // the shared dependency-counter engine (core.NewAsyncWorkload), claimed
@@ -162,36 +164,19 @@ func (s *Submission[T]) Wait() (*Grid[T], error) {
 // the submission without running it, expiry mid-run cancels the solve at
 // chunk granularity.
 func Submit[T any](ctx context.Context, s *Scheduler, p *Problem[T], options ...Option) (*Submission[T], error) {
-	cfg := config{strategy: Auto, opts: core.Options{TSwitch: -1, TShare: -1}}
-	for _, o := range options {
-		o(&cfg)
-		if cfg.err != nil {
-			return nil, cfg.err
-		}
+	cfg, err := newConfig(options)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.strategy != Auto && cfg.strategy != Parallel && cfg.strategy != Async {
-		return nil, fmt.Errorf("lddp: the %s strategy cannot run on the shared scheduler (only Auto, Parallel and Async)", cfg.strategy)
+	if !cfg.strategy.Info().Scheduled {
+		scheduled := StrategyNames(func(row StrategyInfo) bool { return row.Scheduled })
+		return nil, fmt.Errorf("lddp: the %s strategy cannot run on the shared scheduler (only %s)",
+			cfg.strategy, strings.Join(scheduled, ", "))
 	}
 	if cfg.opts.Collector != nil {
 		return nil, fmt.Errorf("lddp: per-submission collectors are not supported; attach one scheduler-wide with WithSchedulerCollector")
 	}
-	var (
-		wl     *core.Workload
-		finish func() *Grid[T]
-		err    error
-		chunk  = cfg.opts.NativeChunk
-	)
-	if cfg.strategy == Async {
-		// The async workload's "cells" are whole worker loops; cap them at
-		// the scheduler's pool size and claim them one at a time.
-		if w := s.Config().Workers; cfg.opts.NativeWorkers <= 0 || cfg.opts.NativeWorkers > w {
-			cfg.opts.NativeWorkers = w
-		}
-		wl, finish, err = core.NewAsyncWorkload(ctx, p, cfg.opts)
-		chunk = 1
-	} else {
-		wl, finish, err = core.NewWorkload(p, cfg.opts)
-	}
+	wl, finish, chunk, err := workload(ctx, s, p, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -90,8 +90,21 @@ func TestSubmitRejectsUnsupportedOptions(t *testing.T) {
 	}
 	defer s.Close()
 	p := schedProblem(4, 4)
-	if _, err := lddp.Submit(context.Background(), s, p, lddp.WithStrategy(lddp.Tiled)); err == nil {
-		t.Error("Tiled strategy accepted by Submit")
+	for _, row := range lddp.Strategies() {
+		sub, err := lddp.Submit(context.Background(), s, p, lddp.WithStrategy(row.Strategy))
+		if !row.Scheduled {
+			if err == nil {
+				t.Errorf("unscheduled %s strategy accepted by Submit", row.Name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("scheduled %s strategy refused by Submit: %v", row.Name, err)
+			continue
+		}
+		if _, err := sub.Wait(); err != nil {
+			t.Errorf("%s submission: %v", row.Name, err)
+		}
 	}
 	if _, err := lddp.Submit(context.Background(), s, p, lddp.WithCollector(&lddp.Metrics{})); err == nil {
 		t.Error("per-submission collector accepted by Submit")

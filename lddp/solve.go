@@ -8,60 +8,6 @@ import (
 	"repro/internal/core"
 )
 
-// Strategy selects the executor Solve runs a problem through.
-type Strategy int
-
-const (
-	// Auto selects the native parallel pool, the fastest way to actually
-	// compute a table on the host.
-	Auto Strategy = iota
-	// Sequential runs the row-major reference solver.
-	Sequential
-	// Parallel runs the native worker-pool wavefront runtime.
-	Parallel
-	// Tiled runs the cache-efficient tiled multicore baseline.
-	Tiled
-	// Hetero runs the paper's heterogeneous CPU+GPU framework on the
-	// simulated platform (real cell values, simulated timing).
-	Hetero
-	// SimCPU runs the simulated multicore-CPU baseline.
-	SimCPU
-	// SimGPU runs the simulated pure-GPU baseline.
-	SimGPU
-	// Multi runs the multi-accelerator extension (horizontal-pattern
-	// problems; requires WithAccelerators).
-	Multi
-	// Async runs the asynchronous dependency-counter executor: no
-	// wavefronts, no barriers — cells are scheduled the moment their last
-	// dependency publishes.
-	Async
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case Auto:
-		return "auto"
-	case Sequential:
-		return "sequential"
-	case Parallel:
-		return "parallel"
-	case Tiled:
-		return "tiled"
-	case Hetero:
-		return "hetero"
-	case SimCPU:
-		return "sim-cpu"
-	case SimGPU:
-		return "sim-gpu"
-	case Multi:
-		return "multi"
-	case Async:
-		return "async"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
 // config is the resolved option set; options record errors instead of
 // panicking and Solve reports the first one.
 type config struct {
@@ -73,13 +19,27 @@ type config struct {
 	err      error
 }
 
+// newConfig applies options over the defaults, stopping at the first
+// option error.
+func newConfig(options []Option) (*config, error) {
+	// Negative TSwitch/TShare mean auto-tune in core.Options.
+	cfg := &config{strategy: Auto, opts: core.Options{TSwitch: -1, TShare: -1}}
+	for _, o := range options {
+		o(cfg)
+		if cfg.err != nil {
+			return nil, cfg.err
+		}
+	}
+	return cfg, nil
+}
+
 // Option configures a Solve call.
 type Option func(*config)
 
 // WithStrategy selects the executor; the default is Auto.
 func WithStrategy(s Strategy) Option {
 	return func(c *config) {
-		if s < Auto || s > Async {
+		if !s.valid() {
 			c.err = fmt.Errorf("lddp: unknown strategy %d", int(s))
 			return
 		}
@@ -203,6 +163,8 @@ type Result[T any] struct {
 	// TSwitch and TShare are the work-division parameters used by the
 	// Hetero strategy (zero otherwise).
 	TSwitch, TShare int
+	// Tile is the block size the Tiled strategy ran with (zero otherwise).
+	Tile int
 	// Shares holds the Multi strategy's per-device column spans.
 	Shares []int
 
@@ -218,91 +180,22 @@ type Result[T any] struct {
 // a nil result and a *Canceled error. The zero option set solves natively
 // on the worker pool with auto-sized workers.
 func Solve[T any](ctx context.Context, p *Problem[T], options ...Option) (*Result[T], error) {
-	cfg := config{
-		strategy: Auto,
-		// Negative TSwitch/TShare mean auto-tune in core.Options.
-		opts: core.Options{TSwitch: -1, TShare: -1},
+	cfg, err := newConfig(options)
+	if err != nil {
+		return nil, err
 	}
-	for _, o := range options {
-		o(&cfg)
-		if cfg.err != nil {
-			return nil, cfg.err
-		}
-	}
-
 	strategy := cfg.strategy
 	if strategy == Auto {
 		strategy = Parallel
 	}
-
 	res := &Result[T]{
 		Strategy: strategy,
 		Pattern:  core.Classify(p.Deps),
 		Transfer: core.TransferNeed(p.Deps),
 	}
 	res.Executed = res.Pattern
-
-	switch strategy {
-	case Sequential:
-		g, err := core.SolveContext(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		res.Grid = g
-	case Parallel:
-		g, err := core.SolveParallelContext(ctx, p, cfg.opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Grid = g
-	case Async:
-		g, err := core.SolveAsyncContext(ctx, p, cfg.opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Grid = g
-	case Tiled:
-		tile := cfg.tile
-		if tile <= 0 {
-			tile = core.DefaultTile(p.BytesPerCell)
-		}
-		g, err := core.SolveTiledContext(ctx, p, tile, cfg.opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Grid = g
-	case Hetero, SimCPU, SimGPU:
-		solve := core.SolveHeteroContext[T]
-		switch strategy {
-		case SimCPU:
-			solve = core.SolveCPUOnlyContext[T]
-		case SimGPU:
-			solve = core.SolveGPUOnlyContext[T]
-		}
-		r, err := solve(ctx, p, cfg.opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Grid = r.Grid
-		res.Executed = r.Executed
-		res.TSwitch, res.TShare = r.TSwitch, r.TShare
-		res.SimTime = r.Time
-		res.Timeline = r.Timeline
-	case Multi:
-		if len(cfg.accels) == 0 {
-			return nil, fmt.Errorf("lddp: the Multi strategy requires WithAccelerators")
-		}
-		r, err := core.SolveHeteroMultiContext(ctx, p, cfg.opts, cfg.accels, cfg.shares)
-		if err != nil {
-			return nil, err
-		}
-		res.Grid = r.Grid
-		res.Executed = Horizontal
-		res.Shares = r.Shares
-		res.SimTime = r.Timeline.Makespan()
-		res.Timeline = r.Timeline
-	default:
-		return nil, fmt.Errorf("lddp: unknown strategy %d", int(strategy))
+	if err := run(ctx, p, cfg, res); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
