@@ -25,12 +25,12 @@ perfbench-check:
 # and the perfbench module.
 check: build vet test perfbench-check
 
-# Race-detector pass over the whole module; the pool runtime tests in
-# internal/core are written to stress the barrier and band handoff paths.
+# Race-detector pass over the whole module; the engine tests in
+# internal/core are written to stress the tile counters and ready queue.
 race:
 	$(GO) test -race ./...
 
-# Native pool runtime benchmarks, archived as BENCH_native.json (real
+# Native engine benchmarks, archived as BENCH_native.json (real
 # wall-clock numbers — machine-dependent; benchjson records the host).
 bench:
 	$(GO) test -run '^$$' -bench=NativePool -benchmem -cpu 4 -benchtime 3x . | tee bench_output.txt
@@ -58,7 +58,7 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Record a runtime trace of the pool on the 2048x2048 anti-diagonal
+# Record a runtime trace of the tile engine on the 2048x2048 anti-diagonal
 # case study and print its analysis. trace.json loads in ui.perfetto.dev.
 trace:
 	$(GO) run ./cmd/lddprun -problem levenshtein -size 2048 -solver parallel -workers 4 -traceout trace.json
@@ -71,17 +71,15 @@ sched-smoke:
 	$(GO) run ./cmd/lddpserve -mode compare -solves 16 -size 512
 	$(GO) run ./cmd/lddpserve -mix -solves 32 -size 400 -timeout 50ms
 
-# Async-executor smoke: the dependency-counter engine's conformance,
-# metamorphic and unit batteries under the race detector, then the
-# stall proof — trace the same seeded 2048x2048 solve through the
-# epoch-barrier pool and the barrier-free async executor and require
-# the async trace's total barrier stall to be strictly below the
-# pool's (it is structurally zero: async emits no barrier spans).
+# Tile-engine smoke: the engine's conformance, metamorphic, fuzz-seed,
+# pool and async batteries under the race detector, then the scaling
+# gate: BenchmarkNativePoolLevenshtein4k at 1 and 2 workers (-cpu 1,2
+# sets GOMAXPROCS, which sizes the default worker count) must show the
+# 2-worker run no slower than the 1-worker run.
 async-smoke:
-	$(GO) test -race -count=1 -run 'Async' ./internal/core/ ./lddp/
-	$(GO) run ./cmd/lddprun -problem levenshtein -size 2048 -solver parallel -workers 4 -seed 7 -traceout pool_trace.json
-	$(GO) run ./cmd/lddprun -problem levenshtein -size 2048 -solver async -workers 4 -seed 7 -traceout async_trace.json
-	$(GO) run ./cmd/lddptrace -barrier-under pool_trace.json async_trace.json
+	$(GO) test -race -count=1 -run 'Tile|Pool|Async|Conformance|Metamorphic' ./internal/core/ ./lddp/
+	$(GO) test -run '^$$' -bench '^BenchmarkNativePoolLevenshtein4k$$' -cpu 1,2 -benchtime 3x . > async_bench_output.txt
+	$(GO) run ./cmd/benchjson -assert-ratio 'BenchmarkNativePoolLevenshtein4k-2/BenchmarkNativePoolLevenshtein4k<=1.0' < async_bench_output.txt > /dev/null
 
 # Network service smoke: boot lddpd on an ephemeral local port, fire a
 # remote batch through cmd/lddpserve -url (the client's retry/backoff
@@ -194,5 +192,5 @@ conformance:
 	$(GO) test -race -run 'Conformance|Metamorphic' -timeout 10m ./internal/core/ ./internal/sched/
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt bench_server_output.txt trace.json pool_trace.json async_trace.json serve_metrics.json lddpd.bin lddppromlint.bin lddptrace.bin fleet_trace_summary.txt sim_oplog.json
+	rm -f cover.out test_output.txt bench_output.txt bench_server_output.txt async_bench_output.txt trace.json serve_metrics.json lddpd.bin lddppromlint.bin lddptrace.bin fleet_trace_summary.txt sim_oplog.json
 	rm -rf fleet-traces

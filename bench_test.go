@@ -185,9 +185,9 @@ func BenchmarkTuneLevenshtein2k(b *testing.B) {
 // Extension: K20 vs Xeon Phi (the paper's future-work question).
 func BenchmarkExtPhi(b *testing.B) { benchExperiment(b, "ext-phi") }
 
-// The tiled cache-efficient multicore baseline across tile sizes, solving
-// for real (not simulated): the ablation for the CMP-style CPU algorithms
-// the paper cites as related work.
+// The native tile engine across tile sizes, solving for real (not
+// simulated): the tile-size ablation, after the cache-efficient CMP-style
+// CPU algorithms the paper cites as related work.
 func BenchmarkSolveTiledLevenshtein1k(b *testing.B) {
 	a, s := workload.SimilarStrings(1, 1023, workload.ASCIIAlphabet, 0.2)
 	p := problems.Levenshtein(a, s)
@@ -254,11 +254,13 @@ func BenchmarkExtModern(b *testing.B) { benchExperiment(b, "ext-modern") }
 // Extension: critical-path attribution.
 func BenchmarkExtBottleneck(b *testing.B) { benchExperiment(b, "ext-bottleneck") }
 
-// Native pool runtime family (-bench=NativePool): the persistent
-// worker-pool wavefront executor. Run with -benchmem: the Sim alloc
-// counts are part of the recorded evidence (BENCH_native.json).
+// Native engine family (-bench=NativePool): the tile-dataflow engine
+// behind SolveParallelContext. Run with -benchmem: the Sim alloc counts
+// are part of the recorded evidence (BENCH_native.json).
 
-// Pool runtime at the default configuration on a 4096² Levenshtein table.
+// Tile engine at the default configuration on a 4096² Levenshtein table.
+// make async-smoke runs it at -cpu 1,2 and gates the 2-worker time at or
+// below the 1-worker time.
 func BenchmarkNativePoolLevenshtein4k(b *testing.B) {
 	p := experiments.Fig10Problem(1, 4096)
 	b.ResetTimer()
@@ -269,23 +271,15 @@ func BenchmarkNativePoolLevenshtein4k(b *testing.B) {
 	}
 }
 
-// Horizontal pattern: global epoch barrier vs row-band lookahead handoff.
+// Native tile engine on a horizontal-pattern table ({NW,N,NE}), which
+// runs on skewed tiles.
 func BenchmarkNativePoolCheckerboard2k(b *testing.B) {
 	p := experiments.Fig13Problem(1, 2048)
-	for _, mode := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"barrier", core.Options{NativeNoLookahead: true}},
-		{"lookahead", core.Options{}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.SolveParallelOpt(p, mode.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.SolveParallelOpt(p, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -303,7 +297,7 @@ func BenchmarkNativePoolSimPath4k(b *testing.B) {
 	}
 }
 
-// Tracing overhead: the same pool workload untraced (the one-nil-check
+// Tracing overhead: the same engine workload untraced (the one-nil-check
 // fast path the ±2% acceptance bound guards) vs recording into the
 // per-worker rings. Compare the off case against
 // BenchmarkNativePoolLevenshtein4k for the disabled-tracer cost.
@@ -328,12 +322,11 @@ func BenchmarkNativePoolTraceLevenshtein4k(b *testing.B) {
 
 // Shared-scheduler multi-solve throughput: one batch iteration is 16
 // concurrent 1024x1024 anti-diagonal solves submitted to one shared
-// scheduler, versus the same 16 solves as back-to-back per-solve pool
+// scheduler, versus the same 16 solves as back-to-back native engine
 // runs (what a service without the scheduler would do). Run both at the
 // same GOMAXPROCS (use -cpu) to compare aggregate throughput; the
-// recorded numbers live in EXPERIMENTS.md. Worker counts and chunks are
-// pinned equal on both sides so the comparison isolates the scheduling
-// structure, not the configuration.
+// recorded numbers live in EXPERIMENTS.md. Worker counts are pinned equal
+// on both sides; the chunk applies to the scheduler side only.
 func BenchmarkSchedulerBatch16x1024(b *testing.B) {
 	const (
 		batch = 16
@@ -379,7 +372,7 @@ func BenchmarkSchedulerBatch16x1024(b *testing.B) {
 		}
 	})
 	b.Run("sequential", func(b *testing.B) {
-		opts := core.Options{NativeWorkers: workers, NativeChunk: chunk}
+		opts := core.Options{NativeWorkers: workers}
 		b.SetBytes(int64(batch) * size * size * 8)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

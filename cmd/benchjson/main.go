@@ -12,6 +12,13 @@
 // keeps a perf-sensitive path from silently regressing its allocation
 // budget. A pattern matching no benchmark is also an error: a renamed
 // benchmark must not turn the gate into a no-op.
+//
+// -assert-ratio "A/B<=x" (repeatable) is the time gate: A and B are full
+// benchmark names as printed (e.g. BenchmarkFoo-2, BenchmarkFoo/sub),
+// each matched exactly, and the run fails when A's ns/op exceeds x times
+// B's. A name repeated by -count averages its runs. A ratio of two
+// benchmarks from one run holds across hosts, unlike absolute ns; a
+// missing name or a malformed spec fails the run too.
 package main
 
 import (
@@ -56,8 +63,9 @@ func (a *assertList) Set(v string) error { *a = append(*a, v); return nil }
 func main() {
 	desc := flag.String("desc", "Reference benchmark run; real wall-clock numbers from one machine. Regenerate with `make bench`.",
 		"description line embedded in the report")
-	var asserts assertList
+	var asserts, ratios assertList
 	flag.Var(&asserts, "assert", "allocs/op budget as 'substring<=limit' (repeatable); fail when any matching benchmark exceeds it")
+	flag.Var(&ratios, "assert-ratio", "ns/op ratio bound as 'A/B<=x' over two exact benchmark names (repeatable); fail when A exceeds x times B")
 	flag.Parse()
 	rep := report{
 		Description: *desc,
@@ -100,6 +108,11 @@ func main() {
 			failed = true
 		}
 	}
+	for _, a := range ratios {
+		msg, ok := checkRatio(a, rep.Benchmarks)
+		fmt.Fprintln(os.Stderr, "benchjson:", msg)
+		failed = failed || !ok
+	}
 	if failed {
 		os.Exit(1)
 	}
@@ -134,6 +147,47 @@ func checkAssert(spec string, benchmarks []result) []string {
 		msgs = append(msgs, fmt.Sprintf("assert %q: no benchmark matched %q (renamed without updating the budget?)", spec, name))
 	}
 	return msgs
+}
+
+// checkRatio evaluates one 'A/B<=x' time-ratio bound against the parsed
+// results. It returns a line reporting the ratio and whether the bound
+// holds; a malformed spec or an unmatched name does not hold.
+func checkRatio(spec string, benchmarks []result) (string, bool) {
+	names, limitStr, ok := strings.Cut(spec, "<=")
+	// The names themselves may contain '/', but each starts with
+	// "Benchmark", so the separator is the '/' before the second one.
+	sep := strings.Index(names, "/Benchmark")
+	if !ok || sep < 0 || !strings.HasPrefix(names, "Benchmark") {
+		return fmt.Sprintf("assert-ratio %q: want 'BenchmarkA/BenchmarkB<=x'", spec), false
+	}
+	limit, err := strconv.ParseFloat(strings.TrimSpace(limitStr), 64)
+	if err != nil {
+		return fmt.Sprintf("assert-ratio %q: bad bound: %v", spec, err), false
+	}
+	a, b := strings.TrimSpace(names[:sep]), strings.TrimSpace(names[sep+1:])
+	mean := func(name string) (float64, bool) {
+		sum, n := 0.0, 0
+		for _, r := range benchmarks {
+			if r.Name == name {
+				sum += r.NsPerOp
+				n++
+			}
+		}
+		return sum / float64(max(n, 1)), n > 0
+	}
+	na, okA := mean(a)
+	nb, okB := mean(b)
+	switch {
+	case !okA:
+		return fmt.Sprintf("assert-ratio %q: no benchmark named %q", spec, a), false
+	case !okB:
+		return fmt.Sprintf("assert-ratio %q: no benchmark named %q", spec, b), false
+	}
+	ratio := na / nb
+	if ratio > limit {
+		return fmt.Sprintf("assert-ratio %q: %s/%s = %.3f exceeds %g", spec, a, b, ratio, limit), false
+	}
+	return fmt.Sprintf("assert-ratio %q: %s/%s = %.3f, within %g", spec, a, b, ratio, limit), true
 }
 
 // gitCommit resolves the short commit hash of the working tree,

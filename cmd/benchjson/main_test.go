@@ -2,6 +2,7 @@ package main
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -48,6 +49,45 @@ func TestCheckAssert(t *testing.T) {
 	}
 	if msgs := checkAssert("wire<=not-a-number", benchmarks); len(msgs) != 1 {
 		t.Errorf("bad-limit assert produced %v, want one parse error", msgs)
+	}
+}
+
+func TestCheckRatio(t *testing.T) {
+	benchmarks := []result{
+		{Name: "BenchmarkNativePoolLevenshtein4k", NsPerOp: 300},
+		{Name: "BenchmarkNativePoolLevenshtein4k-2", NsPerOp: 180},
+		{Name: "BenchmarkNativePoolLevenshtein4k-2", NsPerOp: 220}, // -count 2: mean 200
+		{Name: "BenchmarkTrace/on-2", NsPerOp: 110},
+		{Name: "BenchmarkTrace/off-2", NsPerOp: 100},
+	}
+	cases := []struct {
+		spec string
+		ok   bool
+	}{
+		// pass: 200/300 and 110/100
+		{"BenchmarkNativePoolLevenshtein4k-2/BenchmarkNativePoolLevenshtein4k<=1.0", true},
+		{"BenchmarkTrace/on-2/BenchmarkTrace/off-2<=1.2", true},
+		// fail: the bound is exceeded
+		{"BenchmarkNativePoolLevenshtein4k/BenchmarkNativePoolLevenshtein4k-2<=1.0", false},
+		{"BenchmarkTrace/on-2/BenchmarkTrace/off-2<=1.05", false},
+		// unmatched: exact names only, so a prefix does not match
+		{"BenchmarkNativePool/BenchmarkNativePoolLevenshtein4k<=1", false},
+		{"BenchmarkNativePoolLevenshtein4k/BenchmarkMissing<=1", false},
+		// malformed
+		{"BenchmarkA-BenchmarkB<=1", false},
+		{"BenchmarkA/BenchmarkB", false},
+		{"A/B<=1", false},
+		{"BenchmarkNativePoolLevenshtein4k-2/BenchmarkNativePoolLevenshtein4k<=fast", false},
+	}
+	for _, c := range cases {
+		msg, ok := checkRatio(c.spec, benchmarks)
+		if ok != c.ok {
+			t.Errorf("checkRatio(%q) = %v (%s), want %v", c.spec, ok, msg, c.ok)
+		}
+	}
+	msg, _ := checkRatio("BenchmarkNativePoolLevenshtein4k-2/BenchmarkNativePoolLevenshtein4k<=1.0", benchmarks)
+	if !strings.Contains(msg, "0.667") {
+		t.Errorf("pass message %q does not report the ratio 0.667", msg)
 	}
 }
 

@@ -10,10 +10,10 @@
 //	lddprun -problem lcs -size 2048 -solver hetero -metrics
 //	lddprun -problem levenshtein -size 2048 -solver parallel -traceout t.json
 //	lddprun -problem levenshtein -size 2048 -solver async -traceout a.json
-//	lddprun -problem dtw -size 1024 -solver tiled
+//	lddprun -problem dtw -size 1024 -solver parallel -tile 64
 //
 // -solver takes any name of lddp's strategy table (auto, sequential,
-// parallel, tiled, hetero, sim-cpu, sim-gpu, multi, async) or resilient,
+// parallel, hetero, sim-cpu, sim-gpu, multi, async) or resilient,
 // the unreliable-memory solver.
 package main
 
@@ -117,7 +117,7 @@ func main() {
 			fatal(err)
 		}
 		switch {
-		case strategy == lddp.Tiled:
+		case *tile > 0 && strategy.Info().Tile:
 			fmt.Printf("%s (tile=%d)\n", out.Answer, out.Tile)
 		case !simulated:
 			fmt.Println(out.Answer)

@@ -9,12 +9,6 @@
 //	lddptrace t.json
 //	lddptrace -json t.json | jq .stall
 //	lddptrace -buckets 120 t.json
-//	lddptrace -barrier-under pool.json async.json
-//
-// With -barrier-under the tool analyzes both traces and exits non-zero
-// unless the main trace's total barrier stall is strictly below the
-// reference trace's — the assertion the async-smoke CI gate runs to
-// prove the barrier-free executor actually removes epoch stalls.
 //
 // The input is Chrome trace-event JSON; "-" reads stdin. With -json the
 // full analyzed report is emitted as JSON instead of the text summary.
@@ -40,7 +34,6 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit the analyzed report as JSON")
 	buckets := flag.Int("buckets", 0, "utilization timeline buckets (0 = 60)")
-	barrierUnder := flag.String("barrier-under", "", "reference trace file; fail unless this trace's barrier stall is strictly below the reference's")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: lddptrace [-json] [-buckets n] <trace.json | ->")
@@ -82,30 +75,6 @@ func main() {
 	emit(rep, func(w io.Writer, rep *trace.Report) error {
 		return trace.WriteSummary(w, rep)
 	}, *jsonOut)
-
-	if *barrierUnder != "" {
-		ref := analyzeFile(*barrierUnder, *buckets)
-		fmt.Printf("barrier stall: %s=%dns (%s) reference %s=%dns (%s)\n",
-			flag.Arg(0), rep.Stall.BarrierNS, rep.Meta.Solver,
-			*barrierUnder, ref.Stall.BarrierNS, ref.Meta.Solver)
-		if rep.Stall.BarrierNS >= ref.Stall.BarrierNS {
-			fatal(fmt.Errorf("barrier-under: %s stalled %dns at barriers, not below %s's %dns",
-				flag.Arg(0), rep.Stall.BarrierNS, *barrierUnder, ref.Stall.BarrierNS))
-		}
-	}
-}
-
-// analyzeFile reads and analyzes a single-process trace file.
-func analyzeFile(name string, buckets int) *trace.Report {
-	data, err := os.ReadFile(name)
-	if err != nil {
-		fatal(err)
-	}
-	meta, events, err := trace.ReadChrome(bytes.NewReader(data))
-	if err != nil {
-		fatal(err)
-	}
-	return trace.Analyze(meta, events, buckets)
 }
 
 // emit writes the report as indented JSON or through its text renderer.

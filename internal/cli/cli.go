@@ -21,8 +21,8 @@ type Outcome struct {
 	Answer   string
 	Executed lddp.Pattern
 	Transfer lddp.TransferKind
-	// TSwitch and TShare are the Hetero work division; Tile is the Tiled
-	// block size (zero for the other strategies).
+	// TSwitch and TShare are the Hetero work division; Tile is the
+	// Parallel strategy's tile size (zero for the other strategies).
 	TSwitch, TShare, Tile int
 	// Timeline is the simulated schedule (empty for native strategies).
 	Timeline lddp.Timeline

@@ -101,7 +101,7 @@ func TestSolveTiledAndResilientAgreeWithSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := solve(t, inst, lddp.WithStrategy(lddp.Sequential)).Answer
-	tiled := solve(t, inst, lddp.WithStrategy(lddp.Tiled), lddp.WithTile(8), lddp.WithWorkers(2))
+	tiled := solve(t, inst, lddp.WithStrategy(lddp.Parallel), lddp.WithTile(8), lddp.WithWorkers(2))
 	if tiled.Answer != want || tiled.Tile != 8 {
 		t.Errorf("tiled %q (tile=%d) != seq %q (tile=8)", tiled.Answer, tiled.Tile, want)
 	}
@@ -118,7 +118,7 @@ func TestSolveTiledAndResilientAgreeWithSeq(t *testing.T) {
 }
 
 // TestSolveTiledDefaultTileFitsCellSize: an unset tile must size the
-// block for the problem's own cell width, so the 8-byte dtw table gets
+// Parallel strategy's tiles for the problem's own cell width, so the 8-byte dtw table gets
 // smaller tiles than the 4-byte ones and every block fits the L2 budget
 // DefaultTile respects.
 func TestSolveTiledDefaultTileFitsCellSize(t *testing.T) {
@@ -131,7 +131,7 @@ func TestSolveTiledDefaultTileFitsCellSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := solve(t, inst, lddp.WithStrategy(lddp.Sequential)).Answer
-		out := solve(t, inst, lddp.WithStrategy(lddp.Tiled))
+		out := solve(t, inst, lddp.WithStrategy(lddp.Parallel))
 		if out.Tile != tc.tile {
 			t.Errorf("%s: default tile %d, want %d", tc.problem, out.Tile, tc.tile)
 		}

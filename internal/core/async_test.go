@@ -76,13 +76,13 @@ func TestMidSolveCancelAsync(t *testing.T) {
 
 // TestAsyncCanceledSolvesLeakNoGoroutines runs repeated mid-solve
 // cancellations and checks the goroutine count returns to baseline: a
-// worker spinning in dequeue must observe the canceled flag and exit.
+// worker parked on the ready queue must observe the cancel and exit.
 func TestAsyncCanceledSolvesLeakNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for iter := 0; iter < 20; iter++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var cells atomic.Int64
-		p := testProblem(DepW|DepNW|DepN|DepNE, 128, 128)
+		p := testProblem(DepW|DepNW|DepN|DepNE, 128, 400)
 		inner := p.F
 		p.F = func(i, j int, nb Neighbors[int64]) int64 {
 			if cells.Add(1) == int64(100*(iter+1)) {
@@ -110,11 +110,12 @@ func TestAsyncCanceledSolvesLeakNoGoroutines(t *testing.T) {
 }
 
 // TestAsyncCollectorEvents checks the Collector wiring: one SolveStart
-// naming the async executor, per-worker stats whose cells sum to the
-// table, the async phase, and a nil SolveEnd.
+// naming the async entry point, per-worker stats whose cells sum to the
+// table, the native phase, and a nil SolveEnd. The table spans 3x3
+// default tiles, so all 4 workers run.
 func TestAsyncCollectorEvents(t *testing.T) {
 	sink := &asyncSink{}
-	p := testProblem(DepW|DepN, 96, 83)
+	p := testProblem(DepW|DepN, 400, 383)
 	want, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +131,8 @@ func TestAsyncCollectorEvents(t *testing.T) {
 		t.Fatalf("SolveStart count = %d, want 1", len(sink.starts))
 	}
 	info := sink.starts[0]
-	if info.Solver != "async" || info.Executed != "async" || info.Workers != 4 {
-		t.Errorf("SolveInfo = %+v, want solver/executed async with 4 workers", info)
+	if info.Solver != "async" || info.Executed != AntiDiagonal.String() || info.Workers != 4 {
+		t.Errorf("SolveInfo = %+v, want solver async, executed %s, 4 workers", info, AntiDiagonal)
 	}
 	if len(sink.workers) != 4 {
 		t.Fatalf("WorkerStats count = %d, want 4", len(sink.workers))
@@ -140,22 +141,23 @@ func TestAsyncCollectorEvents(t *testing.T) {
 	for _, ws := range sink.workers {
 		cells += ws.Cells
 	}
-	if cells != 96*83 {
-		t.Errorf("worker cells sum to %d, want %d", cells, 96*83)
+	if cells != 400*383 {
+		t.Errorf("worker cells sum to %d, want %d", cells, 400*383)
 	}
-	if len(sink.phases) != 1 || sink.phases[0] != "async" {
-		t.Errorf("phases = %v, want [async]", sink.phases)
+	if len(sink.phases) != 1 || sink.phases[0] != "native" {
+		t.Errorf("phases = %v, want [native]", sink.phases)
 	}
 	if len(sink.ends) != 1 || sink.ends[0] != nil {
 		t.Errorf("SolveEnd = %v, want one nil", sink.ends)
 	}
 }
 
-// TestAsyncTraceEvents checks the Recorder wiring: KindTask spans account
-// for every cell exactly once, KindReady queue-depth samples appear, and
-// — the point of the executor — not a single barrier or front event.
+// TestAsyncTraceEvents checks the Recorder wiring: KindTask tile spans
+// account for every cell exactly once, KindReady queue-depth samples
+// appear, and — the point of the engine — not a single barrier or front
+// event.
 func TestAsyncTraceEvents(t *testing.T) {
-	p := testProblem(DepW|DepNW|DepN, 256, 256)
+	p := testProblem(DepW|DepNW|DepN, 512, 512)
 	want, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +182,7 @@ func TestAsyncTraceEvents(t *testing.T) {
 		t.Errorf("async trace kinds = %v, want task spans", kinds)
 	}
 	if kinds[trace.KindReady] == 0 {
-		t.Errorf("async trace kinds = %v, want ready-queue samples on a %d-cell solve", kinds, 256*256)
+		t.Errorf("async trace kinds = %v, want ready-queue samples on a %d-cell solve", kinds, 512*512)
 	}
 	var cells int64
 	for _, e := range evs {
@@ -188,8 +190,8 @@ func TestAsyncTraceEvents(t *testing.T) {
 			cells += e.B - e.A
 		}
 	}
-	if cells != 256*256 {
-		t.Errorf("task spans cover %d cells, want %d", cells, 256*256)
+	if cells != 512*512 {
+		t.Errorf("task spans cover %d cells, want %d", cells, 512*512)
 	}
 	if meta := rec.Meta(); meta.Solver != "async" || meta.Workers != 4 {
 		t.Errorf("meta = %+v, want async solver with 4 workers", meta)
@@ -204,11 +206,13 @@ func TestAsyncTraceEvents(t *testing.T) {
 }
 
 // TestAsyncWorkloadRunsOnForeignWorkers drives NewAsyncWorkload the way
-// the scheduler does — worker loops claimed unit by unit by goroutines
+// the scheduler does — engine loops claimed unit by unit by goroutines
 // the engine does not own — and checks the assembled grid, plus that
-// loops claimed after completion return immediately.
+// loops claimed after completion return immediately. The {W,NW,N,NE}
+// mask runs on skewed tiles, 2x4 of them at this shape, so all 4 loops
+// have tiles to share.
 func TestAsyncWorkloadRunsOnForeignWorkers(t *testing.T) {
-	p := testProblem(DepW|DepNW|DepN|DepNE, 128, 97)
+	p := testProblem(DepW|DepNW|DepN|DepNE, 256, 397)
 	want, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -249,12 +253,13 @@ func TestAsyncWorkloadRunsOnForeignWorkers(t *testing.T) {
 }
 
 // TestAsyncWorkloadCancelUnblocksLoops cancels the workload's context
-// mid-solve and checks every claimed loop returns.
+// mid-solve and checks every claimed loop returns, including loops
+// parked on the ready queue.
 func TestAsyncWorkloadCancelUnblocksLoops(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var cells atomic.Int64
-	p := testProblem(DepW|DepNW|DepN, 256, 256)
+	p := testProblem(DepW|DepNW|DepN, 512, 512)
 	inner := p.F
 	p.F = func(i, j int, nb Neighbors[int64]) int64 {
 		if cells.Add(1) == 2000 {
@@ -284,22 +289,22 @@ func TestAsyncWorkloadCancelUnblocksLoops(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("canceled workload loops did not return")
 	}
-	if total := cells.Load(); total >= 256*256 {
+	if total := cells.Load(); total >= 512*512 {
 		t.Errorf("workload computed all %d cells despite cancellation", total)
 	}
 }
 
-// TestAsyncRejectsOversizedTables pins the int32 cell-index ceiling: the
-// engine must refuse, with a clear error, tables whose cell count does
-// not fit the queue's int32 slots — before allocating anything.
-func TestAsyncRejectsOversizedTables(t *testing.T) {
+// TestTiledRejectsOversizedTileGrid pins the engine's int32 tile-index
+// ceiling: a tile grid past it must be refused, with a clear error,
+// before the grid is allocated.
+func TestTiledRejectsOversizedTileGrid(t *testing.T) {
 	p := testProblem(DepW|DepN, 1, 1)
-	p.Rows, p.Cols = 1<<16, 1<<16 // 2^32 cells
-	_, err := SolveAsyncContext(context.Background(), p, Options{NativeWorkers: 2})
+	p.Rows, p.Cols = 1<<16, 1<<16 // 2^32 one-cell tiles
+	_, err := SolveTiledContext(context.Background(), p, 1, Options{NativeWorkers: 2})
 	if err == nil {
-		t.Fatal("expected an error for a 2^32-cell table")
+		t.Fatal("expected an error for a 2^32-tile grid")
 	}
-	if !strings.Contains(err.Error(), "async executor supports at most") {
-		t.Errorf("error = %v, want the documented cell-count ceiling", err)
+	if !strings.Contains(err.Error(), "exceed the engine's int32 tile index") {
+		t.Errorf("error = %v, want the documented tile-index ceiling", err)
 	}
 }

@@ -13,12 +13,12 @@ import (
 // Cancellation discards partial results: the solver returns a nil grid (or
 // nil result) alongside the error, because a partially filled DP table has
 // no well-defined answer cell. Front records how far the sweep got — the
-// index of the first wavefront (or row, or plane) that is not known to be
-// fully computed — which callers can use for progress accounting or
-// checkpoint-restart policies.
+// index of the first wavefront (or row, for the tile engine, or plane)
+// that is not known to be fully computed — which callers can use for
+// progress accounting or checkpoint-restart policies.
 type Canceled struct {
-	// Solver names the executor that was interrupted ("pool", "bands",
-	// "hetero", "tiled", ...).
+	// Solver names the executor that was interrupted ("pool", "async",
+	// "hetero", "pool3", ...).
 	Solver string
 	// Front is the index of the first front not known to be fully computed.
 	Front int

@@ -56,7 +56,7 @@ func TestExpiredContextAllExecutors(t *testing.T) {
 		{"sequential", func() error { _, err := SolveContext(ctx, p); return err }},
 		{"pool", func() error { _, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 4}); return err }},
 		{"pool-1worker", func() error { _, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 1}); return err }},
-		{"bands", func() error { _, err := SolveParallelContext(ctx, ph, Options{NativeWorkers: 4}); return err }},
+		{"async", func() error { _, err := SolveAsyncContext(ctx, ph, Options{NativeWorkers: 4}); return err }},
 		{"hetero-antidiag", func() error { _, err := SolveHeteroContext(ctx, p, opts); return err }},
 		{"hetero-horizontal", func() error { _, err := SolveHeteroContext(ctx, ph, opts); return err }},
 		{"hetero-invertedl", func() error {
@@ -75,7 +75,10 @@ func TestExpiredContextAllExecutors(t *testing.T) {
 		{"resilient", func() error { _, _, err := SolveResilientContext(ctx, p, 3, nil); return err }},
 		{"lastrow", func() error { _, err := SolveLastRowContext(ctx, p); return err }},
 		{"seq3", func() error { _, err := Solve3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12)); return err }},
-		{"pool3", func() error { _, err := SolveParallel3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12), Options{NativeWorkers: 4}); return err }},
+		{"pool3", func() error {
+			_, err := SolveParallel3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12), Options{NativeWorkers: 4})
+			return err
+		}},
 		{"hetero3", func() error {
 			_, err := SolveHetero3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12), Options{TSwitch: -1, TShare: -1})
 			return err
@@ -88,7 +91,10 @@ func TestExpiredContextAllExecutors(t *testing.T) {
 			_, err := SolveGPUOnly3Context(ctx, testProblem3(Dep3X, 12, 12, 12), Options{TSwitch: -1, TShare: -1})
 			return err
 		}},
-		{"tiled3", func() error { _, err := SolveTiled3Context(ctx, testProblem3(Dep3X|Dep3Y, 12, 12, 12), 4, 2); return err }},
+		{"tiled3", func() error {
+			_, err := SolveTiled3Context(ctx, testProblem3(Dep3X|Dep3Y, 12, 12, 12), 4, 2)
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,7 +104,8 @@ func TestExpiredContextAllExecutors(t *testing.T) {
 }
 
 // TestMidSolveCancelPool cancels from inside the recurrence on an
-// anti-diagonal problem and checks the pool aborts mid-table.
+// anti-diagonal problem and checks the engine aborts mid-table with a
+// row-based Front, on square tiles and on skewed ones.
 func TestMidSolveCancelPool(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -112,7 +119,7 @@ func TestMidSolveCancelPool(t *testing.T) {
 		}
 		return inner(i, j, nb)
 	}
-	g, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 4, NativeChunk: 16})
+	g, err := SolveTiledContext(ctx, p, 16, Options{NativeWorkers: 4})
 	c := wantCanceled(t, err, nil)
 	if g != nil {
 		t.Error("canceled solve returned a non-nil grid")
@@ -120,31 +127,32 @@ func TestMidSolveCancelPool(t *testing.T) {
 	if c.Solver != "pool" {
 		t.Errorf("Canceled.Solver = %q, want pool", c.Solver)
 	}
+	if c.Front < 0 || c.Front > 256 {
+		t.Errorf("Canceled.Front = %d, want a row index in [0, 256]", c.Front)
+	}
 	if total := cells.Load(); total >= 256*256 {
 		t.Errorf("solve computed all %d cells despite cancellation", total)
 	}
-}
 
-// TestMidSolveCancelBands cancels inside a horizontal-pattern solve, which
-// runs the lookahead band runtime with point-to-point token handoff; the
-// blocked token waits must observe the cancel rather than deadlock.
-func TestMidSolveCancelBands(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var cells atomic.Int64
-	p := testProblem(DepNW|DepN|DepNE, 512, 512)
-	inner := p.F
-	p.F = func(i, j int, nb Neighbors[int64]) int64 {
+	// NE masks run on skewed tiles: the same stop on a skewed grid.
+	cells.Store(0)
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	ph := testProblem(DepNW|DepN|DepNE, 256, 256)
+	innerH := ph.F
+	ph.F = func(i, j int, nb Neighbors[int64]) int64 {
 		if cells.Add(1) == 5000 {
-			cancel()
+			cancel2()
 		}
-		return inner(i, j, nb)
+		return innerH(i, j, nb)
 	}
-	_, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 4})
-	wantCanceled(t, err, nil)
-	if total := cells.Load(); total >= 512*512 {
-		t.Errorf("solve computed all %d cells despite cancellation", total)
+	_, err = SolveTiledContext(ctx2, ph, 16, Options{NativeWorkers: 4})
+	c = wantCanceled(t, err, nil)
+	if c.Front < 0 || c.Front > 256 {
+		t.Errorf("skewed Canceled.Front = %d, want a row index in [0, 256]", c.Front)
+	}
+	if total := cells.Load(); total >= 256*256 {
+		t.Errorf("skewed solve computed all %d cells despite cancellation", total)
 	}
 }
 
@@ -196,7 +204,7 @@ func TestDeadlineExpiryIsCanceled(t *testing.T) {
 
 // TestCanceledSolvesLeakNoGoroutines runs many mid-solve cancellations and
 // checks the goroutine count returns to its baseline: canceled workers
-// must ride the barrier protocol down, not park forever.
+// must leave the ready queue, not park on it forever.
 func TestCanceledSolvesLeakNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -205,7 +213,7 @@ func TestCanceledSolvesLeakNoGoroutines(t *testing.T) {
 		var cells atomic.Int64
 		deps := DepW | DepNW | DepN
 		if iter%2 == 1 {
-			deps = DepNW | DepN | DepNE // band runtime
+			deps = DepNW | DepN | DepNE // skewed tiles
 		}
 		p := testProblem(deps, 128, 128)
 		inner := p.F
@@ -215,14 +223,14 @@ func TestCanceledSolvesLeakNoGoroutines(t *testing.T) {
 			}
 			return inner(i, j, nb)
 		}
-		if _, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 4, NativeChunk: 8}); err == nil {
+		if _, err := SolveTiledContext(ctx, p, 8, Options{NativeWorkers: 4}); err == nil {
 			t.Fatalf("iter %d: expected cancellation error", iter)
 		}
 		cancel()
 	}
 
-	// Workers exit through the barrier after the error returns; give the
-	// scheduler a moment before declaring a leak.
+	// Workers exit after the error returns; give the scheduler a moment
+	// before declaring a leak.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		runtime.GC()

@@ -43,8 +43,8 @@ type Collector interface {
 
 // SolveInfo describes a starting solve.
 type SolveInfo struct {
-	// Solver is the executor name: "sequential", "pool", "bands", "tiled",
-	// "hetero", "cpu-only", "gpu-only", "multi", "sched", ...
+	// Solver is the executor name: "pool" and "async" (the tile
+	// engine), "hetero", "cpu-only", "gpu-only", "multi", "sched", ...
 	Solver string
 	// ID is the per-solve identifier assigned by the shared scheduler
 	// (internal/sched); 0 for solves run directly through an executor.
@@ -70,8 +70,10 @@ type SolveInfo struct {
 type WorkerStats struct {
 	// Worker is the worker index in [0, Workers).
 	Worker int
-	// Chunks counts the dynamic chunks the worker claimed off the front
-	// cursors (plus the fronts it ran inline as the advancing worker).
+	// Chunks counts the worker's units of work: the tiles it filled on
+	// the tile engine, or the chunks it claimed off the front cursors
+	// (plus the fronts it ran inline as the advancing worker) on the
+	// 3-D plane pool.
 	Chunks int
 	// Cells is the total number of cells the worker computed.
 	Cells int

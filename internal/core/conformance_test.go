@@ -1,9 +1,12 @@
 // Differential conformance suite: every public executor path must produce
 // the byte-identical table for every dependency mask on every adversarial
-// shape. The sequential solver is the oracle; the pool, tiled and async
-// executors and scheduler-submitted solves are the candidates. Instances are drawn from a seeded wraparound-mixing
-// generator, so a failure report (mask, shape, executor, seed, first
-// mismatching cell) reproduces the instance exactly.
+// shape. The sequential solver is the oracle; the tile engine — at every
+// tile size in engineMatrixTiles and 1 to 4 workers, through each of its
+// entry points — and scheduler-submitted solves (front chunks and engine
+// loops) are the candidates. Instances are drawn from a seeded
+// wraparound-mixing generator, so a failure report (mask, shape,
+// executor, seed, first mismatching cell) reproduces the instance
+// exactly.
 //
 // The suite lives in package core_test (not core) because the scheduler
 // path imports internal/sched, which imports core.
@@ -11,7 +14,9 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -62,7 +67,8 @@ func confProblem(seed int64, m core.DepMask, rows, cols int) *core.Problem[int64
 
 // conformanceShapes are the adversarial dimensions: degenerate rows and
 // columns, extreme aspect ratios in both directions, prime dimensions
-// (no alignment with chunk or tile sizes), and a square control.
+// (no alignment with chunk or tile sizes), sides one off a tile
+// multiple, and a square control.
 var conformanceShapes = [][2]int{
 	{1, 1},
 	{1, 33},
@@ -72,8 +78,16 @@ var conformanceShapes = [][2]int{
 	{3, 101}, // rows << cols
 	{101, 3}, // cols << rows
 	{31, 37}, // primes
+	{15, 13}, // one past 2*7 and 3*4, one short of 2*7
+	{182, 4}, // one row past the default tile
+	{4, 180}, // one column short of the default tile
 	{48, 48},
 }
+
+// engineMatrixTiles are the tile sizes the matrix runs the engine at:
+// single cells, small and odd tiles, the default, and one larger than
+// every shape (the whole table is one tile).
+var engineMatrixTiles = []int{1, 2, 3, 7, core.DefaultTile(8), 1000}
 
 // executorCase is one candidate executor path under test.
 type executorCase struct {
@@ -83,26 +97,20 @@ type executorCase struct {
 
 // conformanceExecutors builds the candidate list. Worker counts above the
 // machine's core count and tiny chunks/tiles are deliberate: they force
-// multi-chunk fronts and cross-front handoff even on small tables.
+// multi-chunk fronts and many-tile DAGs even on small tables.
 func conformanceExecutors(s *sched.Scheduler) []executorCase {
-	return []executorCase{
+	execs := []executorCase{
 		{"SolveParallelContext", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			return core.SolveParallelContext(context.Background(), p, core.Options{NativeWorkers: 4})
 		}},
-		{"SolveParallelOpt/chunk7", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return core.SolveParallelOpt(p, core.Options{NativeWorkers: 3, NativeChunk: 7})
-		}},
-		{"SolveTiledContext", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return core.SolveTiledContext(context.Background(), p, 8, core.Options{NativeWorkers: 4})
+		{"SolveParallelOpt/1worker", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
+			return core.SolveParallelOpt(p, core.Options{NativeWorkers: 1})
 		}},
 		{"Scheduler", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			return sched.Solve(context.Background(), s, p, sched.SubmitOptions{Chunk: 8})
 		}},
 		{"SolveAsyncContext", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			return core.SolveAsyncContext(context.Background(), p, core.Options{NativeWorkers: 4})
-		}},
-		{"SolveAsyncContext/1worker", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return core.SolveAsyncContext(context.Background(), p, core.Options{NativeWorkers: 1})
 		}},
 		{"SchedulerAsync", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			wl, finish, err := core.NewAsyncWorkload(context.Background(), p, core.Options{NativeWorkers: 3})
@@ -119,6 +127,18 @@ func conformanceExecutors(s *sched.Scheduler) []executorCase {
 			return finish(), nil
 		}},
 	}
+	for _, tile := range engineMatrixTiles {
+		for workers := 1; workers <= 4; workers++ {
+			tile, workers := tile, workers
+			execs = append(execs, executorCase{
+				fmt.Sprintf("SolveTiledContext/tile%d/w%d", tile, workers),
+				func(p *core.Problem[int64]) (*table.Grid[int64], error) {
+					return core.SolveTiledContext(context.Background(), p, tile, core.Options{NativeWorkers: workers})
+				},
+			})
+		}
+	}
+	return execs
 }
 
 // reportMismatch renders a reproducible failure: the instance coordinates
@@ -139,7 +159,7 @@ func reportMismatch(t *testing.T, exec string, seed int64, m core.DepMask, rows,
 }
 
 // TestConformanceAllMasksAllExecutors is the full differential matrix:
-// 15 masks x 9 shapes x every executor path, exact table equality.
+// 15 masks x 12 shapes x every executor path, exact table equality.
 func TestConformanceAllMasksAllExecutors(t *testing.T) {
 	s, err := sched.New(sched.Config{Workers: 4, Chunk: 8})
 	if err != nil {
@@ -207,5 +227,50 @@ func TestConformanceSeedSweep(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestConformanceSchedulerAsyncCancel cancels a scheduled engine workload
+// from inside the recurrence: the submission must end in *Canceled with
+// Front a row index in [0, rows], and must not compute the whole table.
+func TestConformanceSchedulerAsyncCancel(t *testing.T) {
+	s, err := sched.New(sched.Config{Workers: 4, Chunk: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const rows, cols = 512, 512
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cells atomic.Int64
+	p := confProblem(7, core.DepW|core.DepNW|core.DepN, rows, cols)
+	inner := p.F
+	p.F = func(i, j int, nb core.Neighbors[int64]) int64 {
+		if cells.Add(1) == 5000 {
+			cancel()
+		}
+		return inner(i, j, nb)
+	}
+	wl, _, err := core.NewAsyncWorkload(ctx, p, core.Options{NativeWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.Submit(ctx, wl, sched.SubmitOptions{Chunk: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = h.Wait()
+	var c *core.Canceled
+	if !errors.As(err, &c) {
+		t.Fatalf("err = %v (%T), want *core.Canceled", err, err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v does not unwrap to context.Canceled", err)
+	}
+	if c.Front < 0 || c.Front > rows {
+		t.Errorf("Canceled.Front = %d, want a row index in [0, %d]", c.Front, rows)
+	}
+	if total := cells.Load(); total >= rows*cols {
+		t.Errorf("workload computed all %d cells despite cancellation", total)
 	}
 }

@@ -13,8 +13,9 @@
 // The package offers four solvers over a user-supplied Problem:
 //
 //   - Solve: sequential reference (row-major fill).
-//   - SolveParallelContext: real goroutine wavefront solver for multicore
-//     hosts (SolveTiledContext and SolveAsyncContext are its alternatives).
+//   - SolveParallelContext: the native tile engine for multicore hosts
+//     (SolveTiledContext sets its tile; SolveAsyncContext is the same
+//     engine under the Async strategy's name).
 //   - SolveHetero: the paper's heterogeneous framework, executed against a
 //     simulated CPU+GPU platform (internal/hetsim); computes real cell
 //     values and a deterministic simulated timeline.

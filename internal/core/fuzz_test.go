@@ -55,111 +55,124 @@ func FuzzHeteroEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzAsyncDeps fuzzes the async executor's dependency-counter
-// initialization over arbitrary (mask, rows, cols): construction must
-// never panic, the counter totals must equal the brute-force edge count
-// of the mask's dependency graph (and the seeded ready queue must hold
-// exactly the zero-in-degree cells), and a full solve on the same
-// small table must match the sequential oracle cell for cell.
+// FuzzAsyncDeps fuzzes the tile engine's dependency counters over
+// arbitrary (mask, rows, cols, tile, workers): construction must never
+// panic, the counter totals must equal the brute-force edge count of the
+// tile DAG lifted from the mask (and the seeded ready queue must hold
+// exactly the zero-in-degree tiles), and a full solve of the same small
+// table through the Async entry point and at the fuzzed tile must match
+// the sequential oracle cell for cell.
 func FuzzAsyncDeps(f *testing.F) {
-	f.Add(uint8(3), uint8(9), uint8(9), uint8(4))
-	f.Add(uint8(6), uint8(1), uint8(64), uint8(1))  // 1xN row
-	f.Add(uint8(12), uint8(64), uint8(1), uint8(3)) // Nx1 column
-	f.Add(uint8(9), uint8(2), uint8(2), uint8(7))   // 2x2 minimal
-	f.Add(uint8(14), uint8(33), uint8(17), uint8(0))
-	f.Fuzz(func(t *testing.T, mi, r, c, workers uint8) {
+	f.Add(uint8(3), uint8(9), uint8(9), uint8(2), uint8(4))
+	f.Add(uint8(6), uint8(1), uint8(64), uint8(7), uint8(1))  // 1xN row
+	f.Add(uint8(12), uint8(64), uint8(1), uint8(3), uint8(3)) // Nx1 column
+	f.Add(uint8(9), uint8(2), uint8(2), uint8(1), uint8(7))   // 2x2 minimal
+	f.Add(uint8(14), uint8(33), uint8(17), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, mi, r, c, tl, workers uint8) {
 		masks := AllDepMasks()
 		m := masks[int(mi)%len(masks)]
 		rows := int(r%64) + 1
 		cols := int(c%64) + 1
+		tile := int(tl%9) + 1
+		opts := Options{NativeWorkers: int(workers%8) + 2} // > 1: a real tile grid
 		p := testProblem(m, rows, cols)
 
-		e, _, _, err := newAsyncEngine(context.Background(), p, Options{NativeWorkers: int(workers % 9)})
+		e, _, err := newTileEngine(context.Background(), p, tile, opts, "fuzz")
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Brute-force edge count: each cell contributes one edge per
-		// in-bounds dependency under the mask.
-		edges, sources := int64(0), int64(0)
+		// Brute-force edge count: for each cell dependency that crosses
+		// into another tile, one edge per distinct (tile, predecessor).
+		type edge struct{ from, to int }
+		edges := map[edge]bool{}
+		tileOf := func(i, j int) int { return i/e.th*e.bc + (j+e.skew*i)/e.tw }
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
-				d := int64(0)
-				if m.Has(DepW) && j > 0 {
-					d++
-				}
-				if i > 0 {
-					if m.Has(DepNW) && j > 0 {
-						d++
+				for _, d := range []struct {
+					bit    DepMask
+					di, dj int
+				}{{DepW, 0, -1}, {DepNW, -1, -1}, {DepN, -1, 0}, {DepNE, -1, 1}} {
+					pi, pj := i+d.di, j+d.dj
+					if !m.Has(d.bit) || pi < 0 || pj < 0 || pj >= cols {
+						continue
 					}
-					if m.Has(DepN) {
-						d++
+					if from, to := tileOf(pi, pj), tileOf(i, j); from != to {
+						edges[edge{from, to}] = true
 					}
-					if m.Has(DepNE) && j+1 < cols {
-						d++
-					}
-				}
-				edges += d
-				if d == 0 {
-					sources++
 				}
 			}
 		}
-		var got int64
-		for idx := range e.counters {
-			got += int64(e.counters[idx].Load())
+		// deriveBlockMask may add edges the cell DAG only implies
+		// transitively (NW lifts to W, NW and N even on a 1-row edge
+		// tile), never fewer: each tile's counter must cover its distinct
+		// cell-implied predecessors, and a tile has at most four.
+		preds := make([]int32, len(e.indeg))
+		for ed := range edges {
+			preds[ed.to]++
 		}
-		if got != edges {
-			t.Fatalf("mask %s %dx%d: counter total %d, want edge count %d", m, rows, cols, got, edges)
+		indeg := make([]int32, len(e.indeg))
+		for idx := range e.indeg {
+			indeg[idx] = e.indeg[idx].Load()
+			if indeg[idx] < preds[idx] || indeg[idx] > 4 {
+				t.Fatalf("mask %s %dx%d tile=%d: tile %d in-degree %d, want in [%d, 4]", m, rows, cols, tile, idx, indeg[idx], preds[idx])
+			}
 		}
-		if q := e.tail.Load(); q != sources {
-			t.Fatalf("mask %s %dx%d: %d cells seeded ready, want %d zero-in-degree cells", m, rows, cols, q, sources)
+		sources := 0
+		for _, d := range indeg {
+			if d == 0 {
+				sources++
+			}
+		}
+		if q := len(e.ready); q != sources {
+			t.Fatalf("mask %s %dx%d tile=%d: %d tiles seeded ready, want %d zero-in-degree tiles", m, rows, cols, tile, q, sources)
 		}
 
 		want, err := Solve(p)
 		if err != nil {
 			t.Skip()
 		}
-		gotGrid, err := SolveAsyncContext(context.Background(), p, Options{NativeWorkers: int(workers % 9)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !table.EqualComparable(want, gotGrid) {
-			t.Fatalf("mask %s %dx%d workers=%d: async differs from oracle", m, rows, cols, workers%9)
+		for _, solve := range []func() (*table.Grid[int64], error){
+			func() (*table.Grid[int64], error) { return SolveAsyncContext(context.Background(), p, opts) },
+			func() (*table.Grid[int64], error) { return SolveTiledContext(context.Background(), p, tile, opts) },
+		} {
+			got, err := solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !table.EqualComparable(want, got) {
+				t.Fatalf("mask %s %dx%d tile=%d workers=%d: engine differs from oracle", m, rows, cols, tile, opts.NativeWorkers)
+			}
 		}
 	})
 }
 
-// FuzzPoolEquivalence drives the pool runtime — flat kernels, dynamic
-// chunking, epoch barrier, band lookahead, symmetry adapters — with
-// arbitrary masks, grid shapes (including the 1xN, Nx1 and 2x2
-// degenerates), worker counts and chunk sizes, and checks cell-for-cell
-// equality with the sequential reference.
+// FuzzPoolEquivalence drives the tile engine — flat kernel, tile DAG,
+// skewed NE tiles, depth-first continuation — with arbitrary masks, grid
+// shapes (including the 1xN, Nx1 and 2x2 degenerates), worker counts
+// and tile sizes, and checks cell-for-cell equality with the sequential
+// reference.
 func FuzzPoolEquivalence(f *testing.F) {
-	f.Add(uint8(3), uint8(9), uint8(9), uint8(4), uint8(8), false)
-	f.Add(uint8(6), uint8(1), uint8(64), uint8(3), uint8(1), true)   // 1xN row
-	f.Add(uint8(12), uint8(64), uint8(1), uint8(2), uint8(0), false) // Nx1 column
-	f.Add(uint8(9), uint8(2), uint8(2), uint8(7), uint8(255), false) // 2x2 minimal
-	f.Fuzz(func(t *testing.T, mi, r, c, workers, chunk uint8, noLookahead bool) {
+	f.Add(uint8(3), uint8(9), uint8(9), uint8(4), uint8(8))
+	f.Add(uint8(6), uint8(1), uint8(64), uint8(3), uint8(1))  // 1xN row
+	f.Add(uint8(12), uint8(64), uint8(1), uint8(2), uint8(0)) // Nx1 column
+	f.Add(uint8(9), uint8(2), uint8(2), uint8(7), uint8(255)) // 2x2 minimal
+	f.Fuzz(func(t *testing.T, mi, r, c, workers, tl uint8) {
 		masks := AllDepMasks()
 		m := masks[int(mi)%len(masks)]
 		rows := int(r%64) + 1
 		cols := int(c%64) + 1
+		tile := int(tl%70) + 1
 		p := testProblem(m, rows, cols)
 		want, err := Solve(p)
 		if err != nil {
 			t.Skip()
 		}
-		got, err := SolveParallelOpt(p, Options{
-			NativeWorkers:     int(workers % 9),
-			NativeChunk:       int(chunk),
-			NativeNoLookahead: noLookahead,
-		})
+		got, err := SolveTiledContext(context.Background(), p, tile, Options{NativeWorkers: int(workers % 9)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !table.EqualComparable(want, got) {
-			t.Fatalf("mask %s %dx%d workers=%d chunk=%d nolook=%v: pool differs",
-				m, rows, cols, workers%9, chunk, noLookahead)
+			t.Fatalf("mask %s %dx%d workers=%d tile=%d: engine differs", m, rows, cols, workers%9, tile)
 		}
 	})
 }

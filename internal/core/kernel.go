@@ -4,13 +4,10 @@ import (
 	"repro/internal/table"
 )
 
-// Chunk kernels shared by the native runtimes. Historically this code
-// lived inside pool.go, the per-solve worker pool; the process-wide
-// scheduler (internal/sched) runs chunks of many solves on one worker set,
-// so the kernel construction — flat-slice cell evaluation and the
-// front-indexed run(t, lo, hi) closures — is extracted here where both
-// runtimes (and Workload, the untyped handle the scheduler consumes) can
-// build on it without going through a *Problem-typed executor.
+// Cell kernels shared by the native runtimes: the tile engine (tiles.go)
+// sweeps tiles with flatKernel, and the process-wide scheduler
+// (internal/sched) runs the front-indexed run(t, lo, hi) closures of
+// frontRunner through Workload, the untyped handle it consumes.
 
 // flatKernel evaluates cells straight on a row-major backing slice. The
 // generic gatherNeighbors path costs four non-inlined shape-generic calls
@@ -94,23 +91,6 @@ func (k *flatKernel[T]) edgeCell(i, j, base int) {
 	k.data[base] = k.p.F(i, j, nb)
 }
 
-// fillRowMajor sweeps the whole table in row-major order, the cache-optimal
-// serial schedule (dependency-safe for every contributing set, as in
-// Solve). The single-worker degenerate case of the pool uses it: wavefront
-// order buys nothing without concurrency and walks the row-major slice with
-// a cols-sized stride. Cancellation is polled once per row.
-func (k *flatKernel[T]) fillRowMajor(done <-chan struct{}) (int, bool) {
-	for i := 0; i < k.rows; i++ {
-		if isDone(done) {
-			return i, false
-		}
-		for j := 0; j < k.cols; j++ {
-			k.cell(i, j)
-		}
-	}
-	return k.rows, true
-}
-
 // frontRunner builds the run(t, lo, hi) kernel for a canonical wavefront
 // space over a grid. When the grid is row-major the kernel walks the front
 // with an incremental (i, j) cursor over the flat kernel — the per-cell
@@ -118,8 +98,8 @@ func (k *flatKernel[T]) fillRowMajor(done <-chan struct{}) (int, bool) {
 // every cell, which dominates the per-cell budget for cheap recurrences.
 //
 // The returned closure is safe for concurrent calls on disjoint ranges of
-// one front, which is what lets the pool and the scheduler run chunks of
-// the same front on different workers.
+// one front, which is what lets the scheduler run chunks of the same
+// front on different workers.
 func frontRunner[T any](p *Problem[T], w Wavefronts, g *table.Grid[T]) func(t, lo, hi int) {
 	if flat := g.RowMajorData(); flat != nil {
 		k := newFlatKernel(p, flat, g.Rows(), g.Cols())

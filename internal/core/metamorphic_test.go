@@ -98,25 +98,32 @@ func TestMetamorphicMInvertedLIsMirroredInvertedL(t *testing.T) {
 	}
 }
 
+// engineTiles are the tile sizes the metamorphic checks run the engine
+// at: single cells, small odd tiles, and the default.
+var engineTiles = []int{1, 2, 3, 7, core.DefaultTile(8)}
+
 // TestMetamorphicAsyncSymmetry runs both Table-I symmetry relations
-// through the async dependency-counter executor: solving the transposed
-// (or column-mirrored) problem asynchronously and mapping the grid back
-// must reproduce the direct sequential solve. The async executor performs
-// no canonicalization of its own, so this catches any disagreement
-// between its raw-mask dependency graph and the reduction machinery.
+// through the tile engine: solving the transposed (or column-mirrored)
+// problem on tiles and mapping the grid back must reproduce the direct
+// sequential solve. The engine performs no canonicalization of its own,
+// so this catches any disagreement between its raw-mask tile DAG — skewed
+// tiles for {NE}, square tiles for its {NW} mirror — and the reduction
+// machinery.
 func TestMetamorphicAsyncSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for iter := 0; iter < 12; iter++ {
 		rows, cols := metaDims(rng)
 		seed := rng.Int63()
+		tile := engineTiles[iter%len(engineTiles)]
+		opts := core.Options{NativeWorkers: 1 + iter%4}
 
-		// Vertical {W} vs its transposed Horizontal, both async.
+		// Vertical {W} vs its transposed Horizontal, both on the engine.
 		p := confProblem(seed, core.DepW, rows, cols)
 		direct, err := core.Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		asyncDirect, err := core.SolveAsyncContext(context.Background(), p, core.Options{NativeWorkers: 4})
+		asyncDirect, err := core.SolveAsyncContext(context.Background(), p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,12 +131,12 @@ func TestMetamorphicAsyncSymmetry(t *testing.T) {
 			t.Errorf("shape=%dx%d seed=%d: async Vertical differs from sequential", rows, cols, seed)
 		}
 		tp, undo := core.Transposed(p)
-		viaT, err := core.SolveAsyncContext(context.Background(), tp, core.Options{NativeWorkers: 4})
+		viaT, err := core.SolveTiledContext(context.Background(), tp, tile, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !table.EqualComparable(direct, undo(viaT)) {
-			t.Errorf("shape=%dx%d seed=%d: async transposed Horizontal differs from direct Vertical", rows, cols, seed)
+			t.Errorf("shape=%dx%d seed=%d tile=%d: engine transposed Horizontal differs from direct Vertical", rows, cols, seed, tile)
 		}
 
 		// Mirrored-Inverted-L {NE} vs its column-mirrored Inverted-L.
@@ -138,13 +145,20 @@ func TestMetamorphicAsyncSymmetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		skewed, err := core.SolveTiledContext(context.Background(), pm, tile, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !table.EqualComparable(mdirect, skewed) {
+			t.Errorf("shape=%dx%d seed=%d tile=%d: engine mInverted-L differs from sequential", rows, cols, seed, tile)
+		}
 		mp, mundo := core.MirroredColumns(pm)
-		viaM, err := core.SolveAsyncContext(context.Background(), mp, core.Options{NativeWorkers: 4})
+		viaM, err := core.SolveTiledContext(context.Background(), mp, tile, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !table.EqualComparable(mdirect, mundo(viaM)) {
-			t.Errorf("shape=%dx%d seed=%d: async mirrored Inverted-L differs from direct mInverted-L", rows, cols, seed)
+			t.Errorf("shape=%dx%d seed=%d tile=%d: engine mirrored Inverted-L differs from direct mInverted-L", rows, cols, seed, tile)
 		}
 	}
 }
@@ -169,11 +183,12 @@ func gridDigest(g *table.Grid[int64]) uint64 {
 	return h
 }
 
-// TestMetamorphicAsyncDeterminism: the async completion order is
-// nondeterministic (whichever worker's decrement lands last wins the
-// cell), but the computed table must not be — repeated solves of the same
-// instance must produce bit-identical digests. Run across several masks
-// including the full mask, whose cells race on four counters at once.
+// TestMetamorphicAsyncDeterminism: the engine's tile completion order is
+// nondeterministic (whichever worker's decrement lands last readies the
+// tile), but the computed table must not be — repeated solves of the
+// same instance must produce bit-identical digests. Run across several
+// masks, including the full mask, whose skewed tiles race on three
+// counters at once, and every engine tile size.
 func TestMetamorphicAsyncDeterminism(t *testing.T) {
 	masks := []core.DepMask{
 		core.DepW | core.DepN,
@@ -189,12 +204,13 @@ func TestMetamorphicAsyncDeterminism(t *testing.T) {
 		}
 		wantDigest := gridDigest(want)
 		for rep := 0; rep < 8; rep++ {
-			g, err := core.SolveAsyncContext(context.Background(), p, core.Options{NativeWorkers: 4})
+			tile := engineTiles[rep%len(engineTiles)]
+			g, err := core.SolveTiledContext(context.Background(), p, tile, core.Options{NativeWorkers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if d := gridDigest(g); d != wantDigest {
-				t.Fatalf("mask=%s rep=%d: async digest %#x differs from oracle %#x", m, rep, d, wantDigest)
+				t.Fatalf("mask=%s rep=%d tile=%d: engine digest %#x differs from oracle %#x", m, rep, tile, d, wantDigest)
 			}
 		}
 	}

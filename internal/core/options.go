@@ -57,24 +57,22 @@ type Options struct {
 	// parameters quickly.
 	SkipCompute bool
 
-	// NativeWorkers is the worker count of the native executors
-	// (SolveParallelContext, SolveAsyncContext, SolveTiledContext). Zero
-	// or negative selects the default min(runtime.GOMAXPROCS(0),
-	// runtime.NumCPU()): the pool is compute-bound, so workers beyond the
-	// physical cores only lengthen the per-front barrier.
+	// NativeWorkers is the worker count of the native tile engine
+	// (SolveParallelContext, SolveTiledContext, SolveAsyncContext, and
+	// the loop count of NewAsyncWorkload) and of the 3-D plane pool
+	// (SolveParallel3Context). Zero or negative selects the default
+	// min(runtime.GOMAXPROCS(0), runtime.NumCPU()): the engines are
+	// compute-bound, so workers beyond the physical cores add nothing.
+	// The tile engine caps the count at its number of tiles.
 	NativeWorkers int
 
-	// NativeChunk is the number of cells a pool worker claims per atomic
-	// cursor bump; it doubles as the serial cutoff below which a front runs
-	// inline on the advancing worker. Zero or negative selects the default
-	// (512). Smaller chunks balance ragged fronts better; larger chunks
-	// amortize the cursor traffic.
+	// NativeChunk is the number of cells claimed per chunk where work is
+	// claimed in chunks: by the shared scheduler's workers on front
+	// workloads (NewWorkload), and by the 3-D plane pool, where it
+	// doubles as the serial cutoff below which a plane runs inline. The
+	// tile engine does not use it. Zero or negative selects the default
+	// (512).
 	NativeChunk int
-
-	// NativeNoLookahead disables the row-band lookahead mode for
-	// Horizontal-pattern problems, forcing the global epoch barrier between
-	// rows. The ablation knob for the barrier-vs-handoff comparison.
-	NativeNoLookahead bool
 
 	// Collector receives runtime observability events (phase wall times,
 	// front-size histogram, pool worker utilization and chunk claims,

@@ -9,36 +9,24 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/table"
 	"repro/internal/trace"
 )
 
-// Persistent worker-pool wavefront runtime.
+// Persistent worker-pool wavefront runtime of the 3-D executor
+// (SolveParallel3Context). The 2-D executors run on the tile engine
+// (tiles.go); this pool is started once per 3-D solve:
 //
-// The seed native executor spawned fresh goroutines and took a full
-// sync.WaitGroup barrier on every wavefront: for an 8k x 8k anti-diagonal
-// problem that is ~16k spawn/barrier cycles, exactly the dispatch-overhead
-// regime the paper's t_switch analysis warns about on the GPU side. This
-// file replaces it with a pool that is started once per solve:
-//
-//   - workers pull chunks off the current front through an atomic cursor
-//     (dynamic chunking), so ragged fronts from the Inverted-L and
-//     Knight-Move patterns balance automatically;
-//   - fronts are separated by a reusable epoch barrier — the last worker
+//   - workers pull chunks off the current plane through an atomic cursor
+//     (dynamic chunking);
+//   - planes are separated by a reusable epoch barrier — the last worker
 //     to arrive advances the front state and releases the others by
 //     closing a gate channel (channel close gives the happens-before edge
 //     that publishes the new front state);
 //   - runs of fronts at or below one chunk are executed inline by the
-//     advancing worker without waking anyone: the low-work triangles at
-//     the start and end of grow-shrink patterns degenerate to pure serial
-//     execution with zero synchronization, the native analogue of the
-//     paper's t_switch low-work regions;
-//   - Horizontal-pattern problems (constant-width fronts, no W
-//     dependency) can skip the global barrier entirely: each worker owns
-//     a column band and hands an epoch token to its neighbours after each
-//     row, so synchronization is O(1) point-to-point waits per row — the
-//     native analogue of the paper's pipelined one-way transfers
-//     (runBands).
+//     advancing worker without waking anyone: the small planes at both
+//     ends of the box degenerate to serial execution with zero
+//     synchronization, the native analogue of the paper's t_switch
+//     low-work regions.
 //
 // Cancellation: the runtime polls the context's done channel at chunk
 // granularity (a non-blocking receive per cursor bump, skipped entirely for
@@ -58,11 +46,10 @@ import (
 // inline on the advancing worker.
 const defaultNativeChunk = 512
 
-// defaultPoolWorkers resolves the pool worker count: the native runtime is
-// compute-bound, so the default is capped at the physical core count —
-// workers beyond the hardware only lengthen the per-front barrier (every
-// extra worker is one more scheduler round-trip per epoch with zero added
-// throughput). This is the documented Options.NativeWorkers default:
+// defaultPoolWorkers resolves the native worker count: the native runtimes
+// are compute-bound, so the default is capped at the physical core count —
+// workers beyond the hardware add scheduler round-trips with zero added
+// throughput. This is the documented Options.NativeWorkers default:
 // min(GOMAXPROCS, NumCPU).
 func defaultPoolWorkers() int {
 	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
@@ -108,7 +95,7 @@ type workerPool struct {
 // the documented defaults.
 type poolConfig struct {
 	solver  string
-	phase   string // pprof label: executed pattern / "blocks" / "planes"
+	phase   string // pprof label: "tiles" or "planes"
 	workers int
 	chunk   int
 	coll    Collector
@@ -345,254 +332,4 @@ func (p *workerPool) work(w int) {
 		p.gate = make(chan struct{})
 		close(gate) // publishes every write above to the woken workers
 	}
-}
-
-// runBands executes a Horizontal-pattern space (rows fronts of constant
-// width cols) without any global barrier: worker w owns the column band
-// [bandStart(w), bandStart(w+1)) and sweeps it top to bottom, synchronizing
-// only with its immediate neighbours. After finishing a row, a worker
-// deposits a token for its right neighbour (when needLeft: the neighbour's
-// NW reads cross the shared boundary) and its left neighbour (when
-// needRight: NE reads); before starting row t > 0 it consumes one token
-// from each side it depends on, which guarantees the neighbour has finished
-// row t-1. Token channels are buffered to rows so producers never block;
-// channel communication provides the happens-before edges for the boundary
-// cells. With neither flag set ({N}-only problems) workers run completely
-// independently.
-//
-// Cancellation: every token wait also selects on the context's done
-// channel, and each worker polls it once per row, so a canceled solve
-// unwinds without any worker blocking on a token its neighbour will never
-// send. The lowest unfinished row across the workers is reported as
-// Canceled.Front.
-func runBands(ctx context.Context, cfg poolConfig, rows, cols int, needLeft, needRight bool, run func(t, lo, hi int)) error {
-	workers := cfg.workers
-	if workers <= 0 {
-		workers = defaultPoolWorkers()
-	}
-	if workers > cols {
-		workers = cols
-	}
-	done := ctxDone(ctx)
-	if workers <= 1 {
-		for t := 0; t < rows; t++ {
-			if isDone(done) {
-				return canceledErr(ctx, "bands", t)
-			}
-			run(t, 0, cols)
-		}
-		return nil
-	}
-	lanes := make([]*trace.Lane, workers)
-	if cfg.rec != nil {
-		for w := range lanes {
-			lanes[w] = cfg.rec.Lane(w)
-		}
-	}
-	// fromLeft[w] carries tokens from worker w-1 to w; fromRight[w] from
-	// w+1 to w. Only the channels a worker will consume are allocated.
-	fromLeft := make([]chan struct{}, workers)
-	fromRight := make([]chan struct{}, workers)
-	for w := 1; w < workers; w++ {
-		if needLeft {
-			fromLeft[w] = make(chan struct{}, rows)
-		}
-		if needRight {
-			fromRight[w-1] = make(chan struct{}, rows)
-		}
-	}
-	bandStart := func(w int) int { return w * cols / workers }
-
-	// lowRow tracks min(first unfinished row) across canceled workers.
-	var lowRow atomic.Int64
-	lowRow.Store(int64(rows))
-
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			pprof.Do(ctx, cfg.poolLabels(w), func(context.Context) {
-				bandWork(w, workers, rows, bandStart(w), bandStart(w+1), needLeft, needRight, fromLeft, fromRight, done, &lowRow, lanes[w], run)
-			})
-		}(w)
-	}
-	pprof.Do(ctx, cfg.poolLabels(0), func(context.Context) {
-		bandWork(0, workers, rows, bandStart(0), bandStart(1), needLeft, needRight, fromLeft, fromRight, done, &lowRow, lanes[0], run)
-	})
-	wg.Wait()
-
-	if low := lowRow.Load(); low < int64(rows) {
-		return canceledErr(ctx, "bands", int(low))
-	}
-	return nil
-}
-
-// bandWork sweeps one worker's column band down all rows, exchanging epoch
-// tokens with its neighbours. On cancellation it records its first
-// unfinished row into lowRow and returns. A non-nil lane records one
-// KindRow span per row plus KindHandoff spans for the token waits.
-func bandWork(w, workers, rows, lo, hi int, needLeft, needRight bool, fromLeft, fromRight []chan struct{}, done <-chan struct{}, lowRow *atomic.Int64, ln *trace.Lane, run func(t, lo, hi int)) {
-	waitLeft := needLeft && w > 0
-	waitRight := needRight && w < workers-1
-	sendRight := needLeft && w < workers-1
-	sendLeft := needRight && w > 0
-	abort := func(t int) {
-		// CAS-min: remember the lowest unfinished row across all workers.
-		for {
-			cur := lowRow.Load()
-			if int64(t) >= cur || lowRow.CompareAndSwap(cur, int64(t)) {
-				return
-			}
-		}
-	}
-	for t := 0; t < rows; t++ {
-		if isDone(done) {
-			abort(t)
-			return
-		}
-		if t > 0 {
-			// One token per row: t tokens consumed means the neighbour has
-			// finished rows [0, t), covering every NW/NE read of row t.
-			if waitLeft {
-				var t0 time.Time
-				if ln != nil {
-					t0 = time.Now()
-				}
-				select {
-				case <-fromLeft[w]:
-				case <-done:
-					abort(t)
-					return
-				}
-				if ln != nil {
-					ln.SpanFrom(trace.KindHandoff, t, 0, 0, t0)
-				}
-			}
-			if waitRight {
-				var t0 time.Time
-				if ln != nil {
-					t0 = time.Now()
-				}
-				select {
-				case <-fromRight[w]:
-				case <-done:
-					abort(t)
-					return
-				}
-				if ln != nil {
-					ln.SpanFrom(trace.KindHandoff, t, 1, 0, t0)
-				}
-			}
-		}
-		if ln == nil {
-			run(t, lo, hi)
-		} else {
-			t0 := time.Now()
-			run(t, lo, hi)
-			ln.SpanFrom(trace.KindRow, t, int64(lo), int64(hi), t0)
-		}
-		if sendRight {
-			fromLeft[w+1] <- struct{}{}
-		}
-		if sendLeft {
-			fromRight[w-1] <- struct{}{}
-		}
-	}
-}
-
-// solveParallelPool is the pool-backed native solve behind
-// SolveParallelContext and SolveParallelOpt: canonicalize, build the flat kernel, and drive it
-// with the band runtime (Horizontal, unless disabled) or the barrier pool.
-func solveParallelPool[T any](ctx context.Context, p *Problem[T], opts Options) (grid *table.Grid[T], err error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	workers := opts.NativeWorkers
-	if workers <= 0 {
-		workers = defaultPoolWorkers()
-	}
-	cp, canonical, _, undo := canonicalize(p)
-	w := NewWavefronts(canonical, cp.Rows, cp.Cols)
-	g := table.NewGrid[T](cp.Rows, cp.Cols, nil)
-
-	coll := opts.Collector
-	useBands := canonical == Horizontal && !opts.NativeNoLookahead && workers > 1
-	solver := "pool"
-	if useBands {
-		solver = "bands"
-	} else if workers == 1 {
-		solver = "sequential"
-	}
-	var start time.Time
-	if coll != nil {
-		coll.SolveStart(SolveInfo{
-			Solver: solver, Problem: p.Name,
-			Pattern: Classify(p.Deps).String(), Executed: canonical.String(),
-			Rows: cp.Rows, Cols: cp.Cols, Fronts: w.Fronts, Workers: workers,
-		})
-		for t := 0; t < w.Fronts; t++ {
-			coll.FrontSize(w.Size(t))
-		}
-		start = time.Now()
-		defer func() {
-			coll.Phase("native", time.Since(start))
-			coll.SolveEnd(err)
-		}()
-	}
-	tr := opts.Tracer
-	if tr != nil {
-		tr.BeginSolve(trace.Meta{
-			Solver: solver, Problem: p.Name,
-			Pattern: Classify(p.Deps).String(), Executed: canonical.String(),
-			Rows: cp.Rows, Cols: cp.Cols, Fronts: w.Fronts, Workers: workers,
-		})
-		defer tr.EndSolve()
-	}
-	cfg := poolConfig{
-		solver: solver, phase: canonical.String(),
-		workers: workers, chunk: opts.NativeChunk,
-		coll: coll, rec: tr,
-	}
-
-	if workers == 1 {
-		if flat := g.RowMajorData(); flat != nil {
-			// Serial degenerate case: wavefront order buys nothing without
-			// concurrency, so sweep row-major (cache-optimal, and
-			// dependency-safe for every contributing set, as in Solve).
-			var t0 int64
-			var lane *trace.Lane
-			if tr != nil {
-				lane = tr.Lane(0)
-				t0 = lane.Clock()
-			}
-			row, ok := newFlatKernel(cp, flat, cp.Rows, cp.Cols).fillRowMajor(ctxDone(ctx))
-			if lane != nil {
-				lane.SpanLabel(trace.KindPhase, "fill:row-major", -1, int64(cp.Rows)*int64(cp.Cols), 0, t0)
-			}
-			if !ok {
-				return nil, canceledErr(ctx, "sequential", row)
-			}
-			return undo(g), nil
-		}
-	}
-
-	run := frontRunner(cp, w, g)
-	if useBands {
-		// Constant-width fronts with no W dependency: column bands with
-		// point-to-point neighbour handoff instead of a global barrier.
-		needLeft := cp.Deps.Has(DepNW)
-		needRight := cp.Deps.Has(DepNE)
-		if err := runBands(ctx, cfg, w.Fronts, cp.Cols, needLeft, needRight, run); err != nil {
-			return nil, err
-		}
-		return undo(g), nil
-	}
-	if err := runWavefronts(ctx, cfg, w.Fronts, w.Size, run); err != nil {
-		return nil, err
-	}
-	return undo(g), nil
 }

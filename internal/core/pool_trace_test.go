@@ -17,9 +17,9 @@ func traceKinds(evs []trace.Event) map[trace.Kind]int {
 	return m
 }
 
-// TestPoolTraceCoversAllCells checks the pool's chunk/inline spans
-// account for every cell exactly once, and that the traced solve still
-// computes the right table.
+// TestPoolTraceCoversAllCells checks the engine's tile spans account for
+// every cell exactly once, one span per tile, and that the traced solve
+// still computes the right table.
 func TestPoolTraceCoversAllCells(t *testing.T) {
 	p := testProblem(DepW|DepN, 64, 57)
 	want, err := Solve(p)
@@ -27,8 +27,8 @@ func TestPoolTraceCoversAllCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := trace.NewRecorder(1 << 12)
-	got, err := SolveParallelContext(context.Background(), p,
-		Options{NativeWorkers: 4, NativeChunk: 16, Tracer: rec})
+	got, err := SolveTiledContext(context.Background(), p, 16,
+		Options{NativeWorkers: 4, Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,31 +41,32 @@ func TestPoolTraceCoversAllCells(t *testing.T) {
 		t.Fatalf("trace dropped %d events; grow the test ring", rec.Dropped())
 	}
 	var cells int64
-	perFront := map[int32]int64{}
+	perRow := map[int32]int64{}
 	for _, e := range evs {
-		if e.Kind == trace.KindChunk || e.Kind == trace.KindInline {
+		if e.Kind == trace.KindTask {
 			cells += e.B - e.A
-			perFront[e.Front] += e.B - e.A
+			perRow[e.Front] += e.B - e.A
 		}
 	}
-	w := NewWavefronts(AntiDiagonal, 64, 57)
-	var wantCells int64
-	for ft := 0; ft < w.Fronts; ft++ {
-		if got := perFront[int32(ft)]; got != int64(w.Size(ft)) {
-			t.Errorf("front %d traced %d cells, want %d", ft, got, w.Size(ft))
-		}
-		wantCells += int64(w.Size(ft))
+	if cells != 64*57 {
+		t.Errorf("traced %d cells total, want %d", cells, 64*57)
 	}
-	if cells != wantCells {
-		t.Errorf("traced %d cells total, want %d", cells, wantCells)
+	// Tile rows start every 16 rows; each covers 16 full rows but the last.
+	for r := int32(0); r < 64; r += 16 {
+		if got := perRow[r]; got != 16*57 {
+			t.Errorf("tile row at %d traced %d cells, want %d", r, got, 16*57)
+		}
 	}
 
 	kinds := traceKinds(evs)
 	if kinds[trace.KindSolve] != 1 {
 		t.Errorf("KindSolve count = %d, want 1", kinds[trace.KindSolve])
 	}
-	if kinds[trace.KindFront] == 0 || kinds[trace.KindBarrier] == 0 {
-		t.Errorf("pool trace kinds = %v, want front and barrier events", kinds)
+	if got, want := kinds[trace.KindTask], 4*4; got != want {
+		t.Errorf("KindTask count = %d, want %d (one per tile)", got, want)
+	}
+	if kinds[trace.KindBarrier] != 0 || kinds[trace.KindFront] != 0 {
+		t.Errorf("engine trace kinds = %v, want no barrier or front events", kinds)
 	}
 	meta := rec.Meta()
 	if meta.Solver != "pool" || meta.Workers != 4 || meta.Clock != "wall" {
@@ -73,41 +74,26 @@ func TestPoolTraceCoversAllCells(t *testing.T) {
 	}
 }
 
-// TestBandsTraceEmitsRowsAndHandoffs checks the lookahead executor's
-// trace carries row spans for every (row, band) and handoff waits.
-func TestBandsTraceEmitsRowsAndHandoffs(t *testing.T) {
-	p := testProblem(DepNW|DepN|DepNE, 48, 96)
-	rec := trace.NewRecorder(1 << 12)
-	if _, err := SolveParallelContext(context.Background(), p,
-		Options{NativeWorkers: 3, Tracer: rec}); err != nil {
-		t.Fatal(err)
-	}
-	kinds := traceKinds(rec.Events())
-	if got, want := kinds[trace.KindRow], 48*3; got != want {
-		t.Errorf("KindRow count = %d, want %d (rows x bands)", got, want)
-	}
-	if kinds[trace.KindHandoff] == 0 {
-		t.Errorf("bands trace kinds = %v, want handoff waits", kinds)
-	}
-	if meta := rec.Meta(); meta.Solver != "bands" {
-		t.Errorf("meta.Solver = %q, want bands", meta.Solver)
-	}
-}
-
-// TestTiledTraceSolves checks the tiled executor wires the tracer.
+// TestTiledTraceSolves checks the explicit-tile entry point wires the
+// tracer, including the single-worker floor sweep (one span).
 func TestTiledTraceSolves(t *testing.T) {
 	p := testProblem(DepW|DepNW|DepN, 64, 64)
-	rec := trace.NewRecorder(1 << 12)
-	if _, err := SolveTiledContext(context.Background(), p, 16,
-		Options{NativeWorkers: 2, Tracer: rec}); err != nil {
-		t.Fatal(err)
-	}
-	kinds := traceKinds(rec.Events())
-	if kinds[trace.KindChunk]+kinds[trace.KindInline] == 0 {
-		t.Errorf("tiled trace kinds = %v, want chunk or inline block spans", kinds)
-	}
-	if meta := rec.Meta(); meta.Solver != "tiled" {
-		t.Errorf("meta.Solver = %q, want tiled", meta.Solver)
+	for _, workers := range []int{1, 2} {
+		rec := trace.NewRecorder(1 << 12)
+		if _, err := SolveTiledContext(context.Background(), p, 16,
+			Options{NativeWorkers: workers, Tracer: rec}); err != nil {
+			t.Fatal(err)
+		}
+		kinds := traceKinds(rec.Events())
+		if kinds[trace.KindTask] == 0 {
+			t.Errorf("workers=%d: trace kinds = %v, want tile spans", workers, kinds)
+		}
+		if workers == 1 && kinds[trace.KindTask] != 1 {
+			t.Errorf("1-worker trace has %d tile spans, want the one floor sweep", kinds[trace.KindTask])
+		}
+		if meta := rec.Meta(); meta.Solver != "pool" || meta.Workers != workers {
+			t.Errorf("meta = %+v, want pool with %d workers", meta, workers)
+		}
 	}
 }
 

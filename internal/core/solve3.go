@@ -71,6 +71,9 @@ func SolveParallel3Context[T any](ctx context.Context, p *Problem3[T], opts Opti
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	workers := opts.NativeWorkers
 	if workers <= 0 {
 		workers = defaultPoolWorkers()

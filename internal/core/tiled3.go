@@ -8,7 +8,7 @@ import (
 	"repro/internal/table"
 )
 
-// SolveTiled3Context is the 3-D analogue of SolveTiledContext: the box is partitioned
+// SolveTiled3Context is the 3-D tiled executor: the box is partitioned
 // into tile^3 blocks, blocks are scheduled along block-level anti-diagonal
 // planes (bi+bj+bk = s), blocks on a plane run on separate goroutines, and
 // each block fills lexicographically for locality.
@@ -28,6 +28,9 @@ func SolveTiled3Context[T any](ctx context.Context, p *Problem3[T], tile, worker
 	}
 	if tile < 1 {
 		return nil, fmt.Errorf("core: tile size %d < 1", tile)
+	}
+	if err := (Options{NativeWorkers: workers}).Validate(); err != nil {
+		return nil, err
 	}
 	if workers <= 0 {
 		workers = defaultPoolWorkers()

@@ -10,7 +10,7 @@ import (
 
 func TestSolveTiledMatchesSequentialAllMasks(t *testing.T) {
 	for _, m := range AllDepMasks() {
-		for _, tile := range []int{1, 3, 8, 64} {
+		for _, tile := range []int{1, 2, 3, 7, 8, 64} {
 			p := testProblem(m, 19, 27)
 			want, err := Solve(p)
 			if err != nil {
@@ -64,8 +64,8 @@ func TestSolveTiledValidates(t *testing.T) {
 	}
 }
 
-// Property: tiled and sequential solves agree for random masks, dims, and
-// tile sizes.
+// Property: tiled and sequential solves agree for random masks, dims,
+// tile sizes and worker counts.
 func TestSolveTiledProperty(t *testing.T) {
 	masks := AllDepMasks()
 	f := func(mi, r, c, tl uint8) bool {
@@ -78,7 +78,7 @@ func TestSolveTiledProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := SolveTiledContext(context.Background(), p, tile, Options{NativeWorkers: 3})
+		got, err := SolveTiledContext(context.Background(), p, tile, Options{NativeWorkers: int(tl%4) + 1})
 		if err != nil {
 			return false
 		}

@@ -72,63 +72,55 @@ type Experiment struct {
 	Title       string
 	Description string
 	Run         func(Config) ([]Table, error)
-	// Live marks experiments that measure real wall-clock execution on the
-	// host rather than simulated timelines. Their numbers vary by machine,
-	// so the golden-artifact freshness test skips them; the committed
-	// results are a record of one reference run, not a reproducible
-	// artifact.
-	Live bool
 }
 
 // Registry returns all experiments in paper order.
 func Registry() []Experiment {
 	return []Experiment{
 		{"table1", "Table I: contributing sets and patterns",
-			"All 15 contributing sets mapped to their dependency patterns.", RunTable1, false},
+			"All 15 contributing sets mapped to their dependency patterns.", RunTable1},
 		{"table2", "Table II: patterns and transfer needs",
-			"Per-pattern CPU<->GPU data movement during heterogeneous execution.", RunTable2, false},
+			"Per-pattern CPU<->GPU data movement during heterogeneous execution.", RunTable2},
 		{"fig7", "Figure 7: t_switch sweep (LCS 4k x 4k)",
-			"Heterogeneous time vs iterations kept on the CPU in the low-work region.", RunFig7, false},
+			"Heterogeneous time vs iterations kept on the CPU in the low-work region.", RunFig7},
 		{"fig8", "Figure 8: inverted-L vs horizontal case-1",
-			"CPU and GPU times of both formulations of an {NW} problem.", RunFig8, false},
+			"CPU and GPU times of both formulations of an {NW} problem.", RunFig8},
 		{"fig9", "Figure 9: horizontal case-1 times",
-			"CPU/GPU/Framework times across table sizes on both platforms.", RunFig9, false},
+			"CPU/GPU/Framework times across table sizes on both platforms.", RunFig9},
 		{"fig10", "Figure 10: Levenshtein distance (anti-diagonal)",
-			"CPU/GPU/Framework times across table sizes on both platforms.", RunFig10, false},
+			"CPU/GPU/Framework times across table sizes on both platforms.", RunFig10},
 		{"fig12", "Figure 12: Floyd-Steinberg dithering (knight-move)",
-			"CPU/GPU/Framework times across image sizes on both platforms.", RunFig12, false},
+			"CPU/GPU/Framework times across image sizes on both platforms.", RunFig12},
 		{"fig13", "Figure 13: checkerboard problem (horizontal case-2)",
-			"CPU/GPU/Framework times across table sizes on both platforms.", RunFig13, false},
+			"CPU/GPU/Framework times across table sizes on both platforms.", RunFig13},
 		{"ablation-pipeline", "Ablation A1: pipelined vs synchronous transfers",
-			"One-way boundary traffic with and without copy/compute overlap (§IV-C case 1).", RunAblationPipeline, false},
+			"One-way boundary traffic with and without copy/compute overlap (§IV-C case 1).", RunAblationPipeline},
 		{"ablation-pinned", "Ablation A2: pinned vs pageable boundary transfers",
-			"Two-way boundary traffic through pinned and pageable memory (§IV-C case 2).", RunAblationPinned, false},
+			"Two-way boundary traffic through pinned and pageable memory (§IV-C case 2).", RunAblationPinned},
 		{"ablation-coalesce", "Ablation A3: coalesced vs row-major layout",
-			"GPU kernels under the pattern layout vs a naive row-major table (§IV-B).", RunAblationCoalesce, false},
+			"GPU kernels under the pattern layout vs a naive row-major table (§IV-B).", RunAblationCoalesce},
 		{"ablation-chunking", "Ablation A4: CPU thread-per-chunk vs thread-per-cell",
-			"The CPU threading strategies of §IV-A.", RunAblationChunking, false},
+			"The CPU threading strategies of §IV-A.", RunAblationChunking},
 		{"ablation-tuning", "Ablation A5: tuned vs heuristic parameters",
-			"Autotuned t_switch/t_share against the model-derived defaults (§V-A).", RunAblationTuning, false},
+			"Autotuned t_switch/t_share against the model-derived defaults (§V-A).", RunAblationTuning},
 		{"ablation-gpu-chunking", "Ablation A6: GPU thread-per-cell vs chunked threads",
-			"The GPU half of the §IV-A threading discussion.", RunAblationGPUChunking, false},
+			"The GPU half of the §IV-A threading discussion.", RunAblationGPUChunking},
 		{"ext-phi", "Extension: Xeon Phi as the accelerator",
-			"The paper's future-work question: the Hetero-High host paired with a modeled Xeon Phi 5110P.", RunExtPhi, false},
+			"The paper's future-work question: the Hetero-High host paired with a modeled Xeon Phi 5110P.", RunExtPhi},
 		{"ext-multi", "Extension: multiple accelerators",
-			"Horizontal-pattern rows split across the CPU and up to three accelerators with water-filled shares.", RunExtMulti, false},
+			"Horizontal-pattern rows split across the CPU and up to three accelerators with water-filled shares.", RunExtMulti},
 		{"ext-3d", "Extension: 3-D LDDP (three-sequence LCS)",
-			"The k=3 instantiation of the paper's k>=2 problem class, over anti-diagonal planes.", RunExt3D, false},
+			"The k=3 instantiation of the paper's k>=2 problem class, over anti-diagonal planes.", RunExt3D},
 		{"ext-sensitivity", "Extension: calibration sensitivity",
-			"The Figure 10 ordering re-measured across a 16x range of GPU throughput calibrations.", RunExtSensitivity, false},
+			"The Figure 10 ordering re-measured across a 16x range of GPU throughput calibrations.", RunExtSensitivity},
 		{"ext-scaling", "Extension: scaling exponents",
-			"Power-law fits T(n) = C*n^alpha to the Figure 10/13 series.", RunExtScaling, false},
+			"Power-law fits T(n) = C*n^alpha to the Figure 10/13 series.", RunExtScaling},
 		{"ext-modern", "Extension: modern hardware what-if",
-			"The Figure 10 comparison on an EPYC + A100-class platform, a decade past the paper.", RunExtModern, false},
+			"The Figure 10 comparison on an EPYC + A100-class platform, a decade past the paper.", RunExtModern},
 		{"ext-bottleneck", "Extension: critical-path attribution",
-			"The makespan of GPU-only vs framework runs decomposed into launch, dispatch, compute and transfer time.", RunExtBottleneck, false},
+			"The makespan of GPU-only vs framework runs decomposed into launch, dispatch, compute and transfer time.", RunExtBottleneck},
 		{"ext-energy", "Extension: modeled energy",
-			"Energy of CPU-only, GPU-only and framework runs under TDP-class power draws.", RunExtEnergy, false},
-		{"ablation-native-pool", "Ablation A7: native pool runtime, barrier vs lookahead and chunk size",
-			"Real wall-clock times of the pool wavefront runtime: epoch barrier vs row-band lookahead, and a dynamic chunk-size sweep.", RunNativePool, true},
+			"Energy of CPU-only, GPU-only and framework runs under TDP-class power draws.", RunExtEnergy},
 	}
 }
 

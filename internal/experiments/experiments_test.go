@@ -279,9 +279,6 @@ func TestExperimentsDeterministic(t *testing.T) {
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			if e.Live {
-				t.Skipf("%s reports real wall-clock times, which vary run to run", e.ID)
-			}
 			a, err := e.Run(quickCfg())
 			if err != nil {
 				t.Fatal(err)

@@ -26,9 +26,6 @@ func TestCommittedResultsAreFresh(t *testing.T) {
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			if e.Live {
-				t.Skipf("%s measures real wall-clock time; committed artifact is a reference run, not reproducible", e.ID)
-			}
 			path := filepath.Join(resultsDir, e.ID+".txt")
 			want, err := os.ReadFile(path)
 			if err != nil {

@@ -85,31 +85,6 @@ func TestAnalyzeFrontChainCritical(t *testing.T) {
 	}
 }
 
-func TestAnalyzeBandPathCritical(t *testing.T) {
-	// Two bands x three rows. Band 1's row 1 starts 20 after band 0's row 0
-	// ends (a handoff stall); everything else is back-to-back.
-	events := []Event{
-		{TS: 0, Dur: 10, Kind: KindRow, Worker: 0, Front: 0},
-		{TS: 10, Dur: 10, Kind: KindRow, Worker: 0, Front: 1},
-		{TS: 20, Dur: 10, Kind: KindRow, Worker: 0, Front: 2},
-		{TS: 5, Dur: 10, Kind: KindRow, Worker: 1, Front: 0},
-		{TS: 30, Dur: 10, Kind: KindRow, Worker: 1, Front: 1},
-		{TS: 40, Dur: 20, Kind: KindRow, Worker: 1, Front: 2},
-	}
-	rep := Analyze(Meta{}, events, 0)
-	cr := rep.Critical
-	if cr.Kind != "band-path" {
-		t.Fatalf("critical kind = %q, want band-path", cr.Kind)
-	}
-	// Path walks back from worker 1's row 2 (last finisher at 60).
-	if cr.Steps != 3 {
-		t.Errorf("steps = %d, want 3", cr.Steps)
-	}
-	if cr.StallNS == 0 {
-		t.Errorf("band path found no stall; report = %+v", cr)
-	}
-}
-
 func TestAnalyzeSerialOnly(t *testing.T) {
 	events := []Event{
 		{TS: 0, Dur: 10, Kind: KindInline, Worker: 0, Front: 0, B: 4},

@@ -25,9 +25,8 @@ type SolveRequest struct {
 
 	// Strategy names the executor: any scheduled row of lddp's strategy
 	// table (lddp.Strategies), today "auto" (the default when empty),
-	// "parallel" or "async" (the barrier-free dependency-counter
-	// executor). The other rows cannot run on the shared scheduler and
-	// are refused.
+	// "parallel" or "async" (the native tile engine's worker loops).
+	// The other rows cannot run on the shared scheduler and are refused.
 	Strategy string `json:"strategy,omitempty"`
 
 	// Workload selects the problem generator; the zero value is the

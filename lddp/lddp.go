@@ -1,10 +1,9 @@
 // Package lddp is the public facade of the LDDP-Plus framework: one entry
 // point, Solve, that runs any local-dependency dynamic-programming problem
-// through the framework's executors — sequential reference, native
-// worker-pool runtime, cache-tiled multicore baseline, the paper's
-// heterogeneous CPU+GPU strategies on a simulated platform, and the
-// multi-accelerator extension — selected and configured with functional
-// options.
+// through the framework's executors — sequential reference, the native
+// tile engine, the paper's heterogeneous CPU+GPU strategies on a
+// simulated platform, and the multi-accelerator extension — selected and
+// configured with functional options.
 //
 // The package re-exports every type needed to define a problem and consume
 // a result, so importers never reach into the internal packages:
@@ -115,8 +114,9 @@ type WorkerStats = core.WorkerStats
 type TransferStats = core.TransferStats
 
 // Tracer is the per-worker ring-buffer event recorder; attach one with
-// WithTracer to capture timestamped runtime events (front begin/end,
-// chunk claims, barrier waits, lookahead handoffs, simulated transfers).
+// WithTracer to capture timestamped runtime events (tiles, ready-queue
+// depth, front begin/end, chunk claims, barrier waits, simulated
+// transfers).
 // Like Collector, a nil Tracer disables tracing at zero overhead. Export
 // a finished trace with WriteTrace (Chrome/Perfetto JSON) or
 // WriteTraceSummary (plain text); the lddptrace command analyzes the
@@ -207,5 +207,6 @@ func AcceleratorByName(name string) (Accelerator, error) {
 }
 
 // DefaultTile returns the largest tile size whose block still fits a
-// typical per-core L2 slice; the default for WithTile-less tiled solves.
+// typical per-core L2 slice; the native engine's tile when WithTile is
+// unset.
 func DefaultTile(bytesPerCell int) int { return core.DefaultTile(bytesPerCell) }

@@ -57,7 +57,7 @@ func TestStrategyTableRoundTrip(t *testing.T) {
 			t.Errorf("%s.Info() = %+v, want %+v", row.Name, row.Strategy.Info(), row)
 		}
 	}
-	for _, name := range []string{"", "seq", "Parallel"} {
+	for _, name := range []string{"", "seq", "Parallel", "tiled"} {
 		if _, err := lddp.ParseStrategy(name); err == nil {
 			t.Errorf("ParseStrategy(%q) accepted", name)
 		}
@@ -163,7 +163,7 @@ func TestSolveCancellation(t *testing.T) {
 	cancel()
 	p := testProblem(lddp.DepW|lddp.DepNW|lddp.DepN, 64, 64)
 	for _, s := range []lddp.Strategy{
-		lddp.Sequential, lddp.Parallel, lddp.Tiled, lddp.Hetero, lddp.SimCPU, lddp.SimGPU, lddp.Async,
+		lddp.Sequential, lddp.Parallel, lddp.Hetero, lddp.SimCPU, lddp.SimGPU, lddp.Async,
 	} {
 		_, err := lddp.Solve(ctx, p, lddp.WithStrategy(s))
 		var c *lddp.Canceled
@@ -275,13 +275,13 @@ func TestMetricsPhaseCountsMatchTableII(t *testing.T) {
 	}
 }
 
-// TestMetricsWorkerStats checks the pool reports one entry per worker and
-// that chunk/cell counts add up.
+// TestMetricsWorkerStats checks the tile engine reports one entry per
+// worker and that tile/cell counts add up.
 func TestMetricsWorkerStats(t *testing.T) {
 	const rows, cols, workers = 128, 128, 4
 	metrics := &lddp.Metrics{}
 	_, err := lddp.Solve(context.Background(), testProblem(lddp.DepW|lddp.DepN, rows, cols),
-		lddp.WithWorkers(workers), lddp.WithChunk(32), lddp.WithCollector(metrics))
+		lddp.WithWorkers(workers), lddp.WithTile(32), lddp.WithCollector(metrics))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,10 +296,9 @@ func TestMetricsWorkerStats(t *testing.T) {
 			t.Errorf("worker %d utilization %f out of [0,1]", w.Worker, w.Utilization)
 		}
 	}
-	// The workers' chunk cells plus the serial prefix/suffix fronts (run
-	// inline, not attributed to workers) cover the table.
-	if cells <= 0 || cells > rows*cols {
-		t.Errorf("workers computed %d cells, want within (0, %d]", cells, rows*cols)
+	// Every tile is filled by exactly one worker.
+	if cells != rows*cols {
+		t.Errorf("workers computed %d cells, want %d", cells, rows*cols)
 	}
 }
 

@@ -153,9 +153,10 @@ func (s *Submission[T]) Wait() (*Grid[T], error) {
 // can run on the scheduler.
 //
 // An Async submission is a single front of independent worker loops over
-// the shared dependency-counter engine (core.NewAsyncWorkload), claimed
-// one loop at a time, so scheduler workers join and leave the solve like
-// any other chunked submission.
+// one native tile engine (core.NewAsyncWorkload), claimed one loop at a
+// time, so scheduler workers join and leave the solve like any other
+// chunked submission. Auto and Parallel submissions run as front chunks
+// (core.NewWorkload).
 //
 // A nil error means the submission was accepted; its outcome arrives via
 // the Submission. A *Rejected error means it was refused synchronously

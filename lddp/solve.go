@@ -47,26 +47,22 @@ func WithStrategy(s Strategy) Option {
 	}
 }
 
-// WithWorkers sets the worker count of the native pool and tiled executors.
-// Zero or negative selects the default min(GOMAXPROCS, NumCPU).
+// WithWorkers sets the worker count of the native tile engine (the
+// Parallel and Async strategies). Zero or negative selects the default
+// min(GOMAXPROCS, NumCPU).
 func WithWorkers(n int) Option {
 	return func(c *config) { c.opts.NativeWorkers = n }
 }
 
-// WithChunk sets the native pool's cells-per-claim chunk (and serial
-// cutoff). Zero or negative selects the default (512).
+// WithChunk sets the cells-per-claim chunk of a solve submitted to the
+// shared scheduler (Submit, SolveOn). Zero or negative selects the
+// scheduler's default.
 func WithChunk(n int) Option {
 	return func(c *config) { c.opts.NativeChunk = n }
 }
 
-// WithoutLookahead forces the global per-front barrier on
-// horizontal-pattern problems instead of the row-band lookahead handoff.
-func WithoutLookahead() Option {
-	return func(c *config) { c.opts.NativeNoLookahead = true }
-}
-
-// WithTile sets the block size of the Tiled strategy. Unset or
-// non-positive selects DefaultTile for the problem's cell size.
+// WithTile sets the tile size of the Parallel strategy's native engine.
+// Unset or non-positive selects DefaultTile for the problem's cell size.
 func WithTile(n int) Option {
 	return func(c *config) { c.tile = n }
 }
@@ -163,7 +159,8 @@ type Result[T any] struct {
 	// TSwitch and TShare are the work-division parameters used by the
 	// Hetero strategy (zero otherwise).
 	TSwitch, TShare int
-	// Tile is the block size the Tiled strategy ran with (zero otherwise).
+	// Tile is the tile size the Parallel strategy ran with (zero
+	// otherwise).
 	Tile int
 	// Shares holds the Multi strategy's per-device column spans.
 	Shares []int

@@ -15,15 +15,14 @@ import (
 type Strategy int
 
 const (
-	// Auto selects the native parallel pool, the fastest way to actually
-	// compute a table on the host.
+	// Auto selects the native tile engine (Parallel), the fastest way to
+	// actually compute a table on the host.
 	Auto Strategy = iota
 	// Sequential runs the row-major reference solver.
 	Sequential
-	// Parallel runs the native worker-pool wavefront runtime.
+	// Parallel runs the native tile engine: tile-granular dataflow with
+	// per-tile dependency counters.
 	Parallel
-	// Tiled runs the cache-efficient tiled multicore baseline.
-	Tiled
 	// Hetero runs the paper's heterogeneous CPU+GPU framework on the
 	// simulated platform (real cell values, simulated timing).
 	Hetero
@@ -34,9 +33,8 @@ const (
 	// Multi runs the multi-accelerator extension (horizontal-pattern
 	// problems; requires WithAccelerators).
 	Multi
-	// Async runs the asynchronous dependency-counter executor: no
-	// wavefronts, no barriers — cells are scheduled the moment their last
-	// dependency publishes.
+	// Async runs the native tile engine under its own name; on the shared
+	// scheduler it runs as engine worker loops rather than front chunks.
 	Async
 )
 
@@ -53,17 +51,17 @@ type StrategyInfo struct {
 	// the lddpd wire API.
 	Scheduled bool
 	// Workers, Chunk and Tile record whether the strategy honors
-	// WithWorkers, WithChunk and WithTile.
+	// WithWorkers, WithChunk and WithTile. WithChunk applies on the
+	// shared scheduler only, WithTile to native solves only.
 	Workers, Chunk, Tile bool
 }
 
 // strategies is the strategy table, indexed by Strategy. It is the one
 // place strategies are listed; every other layer reads it.
 var strategies = [...]StrategyInfo{
-	{Strategy: Auto, Name: "auto", Scheduled: true, Workers: true, Chunk: true},
+	{Strategy: Auto, Name: "auto", Scheduled: true, Workers: true, Chunk: true, Tile: true},
 	{Strategy: Sequential, Name: "sequential"},
-	{Strategy: Parallel, Name: "parallel", Scheduled: true, Workers: true, Chunk: true},
-	{Strategy: Tiled, Name: "tiled", Workers: true, Tile: true},
+	{Strategy: Parallel, Name: "parallel", Scheduled: true, Workers: true, Chunk: true, Tile: true},
 	{Strategy: Hetero, Name: "hetero", Simulated: true},
 	{Strategy: SimCPU, Name: "sim-cpu", Simulated: true},
 	{Strategy: SimGPU, Name: "sim-gpu", Simulated: true},
@@ -126,15 +124,13 @@ func run[T any](ctx context.Context, p *Problem[T], cfg *config, res *Result[T])
 	case Sequential:
 		res.Grid, err = core.SolveContext(ctx, p)
 	case Parallel:
-		res.Grid, err = core.SolveParallelContext(ctx, p, cfg.opts)
-	case Async:
-		res.Grid, err = core.SolveAsyncContext(ctx, p, cfg.opts)
-	case Tiled:
 		res.Tile = cfg.tile
 		if res.Tile <= 0 {
 			res.Tile = core.DefaultTile(p.BytesPerCell)
 		}
 		res.Grid, err = core.SolveTiledContext(ctx, p, res.Tile, cfg.opts)
+	case Async:
+		res.Grid, err = core.SolveAsyncContext(ctx, p, cfg.opts)
 	case Hetero, SimCPU, SimGPU:
 		solve := core.SolveHeteroContext[T]
 		switch res.Strategy {
