@@ -168,7 +168,7 @@ bench-wire:
 # through lddpd's handler stack and the public client, exact equality
 # against the sequential oracle, under the race detector.
 e2e:
-	$(GO) test -race -run 'E2EDifferential|DrainSoak|FuzzSolveRequest' -timeout 10m ./internal/server/
+	$(GO) test -race -run 'E2EDifferential|DrainSoak|FuzzSolveRequest|FuzzBandRequest' -timeout 10m ./internal/server/
 
 # Extended randomized scheduler soak under the race detector (the short
 # soak runs in the normal test pass; this is the long opt-in variant).

@@ -116,7 +116,7 @@ func run(ctx context.Context, opts options, out io.Writer, addrCh chan<- string)
 		var err error
 		coord, err = fleet.New(fleet.Config{
 			Nodes: nodes, Bands: opts.bands, PhaseCols: opts.phaseCols,
-			TraceDir: opts.tracedir,
+			MaxCells: opts.maxCells, TraceDir: opts.tracedir,
 		})
 		if err != nil {
 			return err

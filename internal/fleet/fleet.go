@@ -97,6 +97,12 @@ type Config struct {
 	// 2 * len(Nodes)).
 	MaxBlockAttempts int
 
+	// MaxCells caps Rows*Cols per fleet solve; <= 0 selects
+	// api.DefaultMaxCells, the nodes' own default, as server.Config
+	// does. A larger table is refused with a PlanError before anything
+	// is allocated for it.
+	MaxCells int64
+
 	// OnBlockDone, when set, runs after each block completes, before
 	// its dependents are released — the fleet test suite's fault
 	// injection point (e.g. kill a node after its first block).
@@ -192,6 +198,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.MaxBlockAttempts == 0 {
 		cfg.MaxBlockAttempts = 2 * len(cfg.Nodes)
 	}
+	if cfg.MaxCells <= 0 {
+		cfg.MaxCells = api.DefaultMaxCells
+	}
 	return &Coordinator{cfg: cfg, counters: &counters{}, stitches: &sync.WaitGroup{}}, nil
 }
 
@@ -261,6 +270,9 @@ func (c *Coordinator) planFor(req *api.SolveRequest) (*plan, error) {
 	}
 	if req.Rows <= 0 || req.Cols <= 0 {
 		return nil, planErrorf("fleet: table size %dx%d invalid", req.Rows, req.Cols)
+	}
+	if !api.CellsWithin(req.Rows, req.Cols, c.cfg.MaxCells) {
+		return nil, planErrorf("fleet: table size %dx%d exceeds the per-request cap of %d cells", req.Rows, req.Cols, c.cfg.MaxCells)
 	}
 	if req.Workload.Cells != nil {
 		return nil, planErrorf("fleet: inline workload cells cannot be sharded; use a seed-generated workload")

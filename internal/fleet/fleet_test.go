@@ -7,9 +7,14 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -103,26 +108,31 @@ func checkFleetDifferential(t *testing.T, coord *fleet.Coordinator, req *api.Sol
 }
 
 // TestFleetDifferentialAllMasks is the full fleet matrix: 2- and 3-node
-// fleets x all 15 dependency masks x the adversarial shapes, with a
-// deliberately tiny phase width so even small tables run many phases
-// (halo hand-off on every boundary). Every mask exercises the direction
-// policy its contributing set forces.
+// fleets x all 15 dependency masks x the adversarial shapes x the mix
+// and cost kinds, with a deliberately tiny phase width so even small
+// tables run many phases (halo hand-off on every boundary). Every mask
+// exercises the direction policy its contributing set forces. The cost
+// kind pins the nodes' per-block window of the seeded cost grid against
+// the oracle's full grid on every block position ltr, rtl and
+// single-phase plans produce.
 func TestFleetDifferentialAllMasks(t *testing.T) {
 	for _, nodes := range []int{2, 3} {
 		f := newTestFleet(t, nodes, fleet.Config{PhaseCols: 7})
-		for _, m := range lddp.AllDepMasks() {
-			for _, d := range fleetShapes {
-				req := &api.SolveRequest{
-					Rows: d[0], Cols: d[1], Mask: m.String(),
-					Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: 0x5eed_f1ee7},
-				}
-				res := checkFleetDifferential(t, f.coord, req, m)
-				if res.Stats.Direction != fleet.DirectionFor(m) {
-					t.Errorf("mask=%s: ran %s, want %s", m, res.Stats.Direction, fleet.DirectionFor(m))
-				}
-				if res.Stats.Blocks != res.Stats.Bands*res.Stats.Phases {
-					t.Errorf("mask=%s: stats blocks %d != %d bands * %d phases",
-						m, res.Stats.Blocks, res.Stats.Bands, res.Stats.Phases)
+		for _, kind := range []string{api.KindMix, api.KindCost} {
+			for _, m := range lddp.AllDepMasks() {
+				for _, d := range fleetShapes {
+					req := &api.SolveRequest{
+						Rows: d[0], Cols: d[1], Mask: m.String(),
+						Workload: api.WorkloadSpec{Kind: kind, Seed: 0x5eed_f1ee7},
+					}
+					res := checkFleetDifferential(t, f.coord, req, m)
+					if res.Stats.Direction != fleet.DirectionFor(m) {
+						t.Errorf("kind=%s mask=%s: ran %s, want %s", kind, m, res.Stats.Direction, fleet.DirectionFor(m))
+					}
+					if res.Stats.Blocks != res.Stats.Bands*res.Stats.Phases {
+						t.Errorf("kind=%s mask=%s: stats blocks %d != %d bands * %d phases",
+							kind, m, res.Stats.Blocks, res.Stats.Bands, res.Stats.Phases)
+					}
 				}
 			}
 		}
@@ -130,8 +140,9 @@ func TestFleetDifferentialAllMasks(t *testing.T) {
 }
 
 // TestFleetWorkloadKinds runs the other seed-generated workload kinds
-// (serve, cost, align) through a 3-node fleet. Cost regenerates the
-// full seeded grid on every node; align fixes its own mask.
+// (serve, cost, align) through a 3-node fleet. Each node generates
+// only its block's window of the seeded cost grid; align fixes its own
+// mask.
 func TestFleetWorkloadKinds(t *testing.T) {
 	f := newTestFleet(t, 3, fleet.Config{PhaseCols: 11})
 	for _, kind := range []string{api.KindServe, api.KindCost, api.KindAlign} {
@@ -241,6 +252,66 @@ func TestFleetFatalErrorAborts(t *testing.T) {
 	if !errors.Is(err, client.ErrInvalid) {
 		t.Fatalf("got %v, want ErrInvalid", err)
 	}
+}
+
+// TestFleetRefusesOversizeTables pins the coordinator's size check:
+// a table past the cell cap, including one whose cell count overflows
+// int64, is refused as a typed 400 before the coordinator allocates the
+// assembled table or its per-block channels (an overflowing request
+// used to panic in makeslice, and one just over the cap allocated its
+// whole table before a node refused it). A table of exactly the cap
+// still solves.
+func TestFleetRefusesOversizeTables(t *testing.T) {
+	check := func(t *testing.T, coord *fleet.Coordinator, rows, cols int) {
+		t.Helper()
+		req := &api.SolveRequest{Rows: rows, Cols: cols, Workload: api.WorkloadSpec{Kind: api.KindCost, Seed: 1}}
+		var planErr *fleet.PlanError
+		if _, err := coord.Solve(context.Background(), req); !errors.As(err, &planErr) {
+			t.Fatalf("%dx%d: Solve error %v, want a *fleet.PlanError", rows, cols, err)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		fleet.NewHandler(coord, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/fleet/solve", bytes.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		var eb api.ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusBadRequest || eb.Status != "invalid" {
+			t.Fatalf("%dx%d: status %d body %q, want a 400 invalid ErrorBody", rows, cols, rec.Code, rec.Body)
+		}
+		if !strings.Contains(eb.Error, "exceeds the per-request cap") {
+			t.Errorf("%dx%d: error %q does not name the cap", rows, cols, eb.Error)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Errorf("%dx%d: refusing the request allocated %d bytes", rows, cols, d)
+		}
+	}
+
+	t.Run("default-cap", func(t *testing.T) {
+		f := newTestFleet(t, 2, fleet.Config{})
+		for _, d := range [][2]int{
+			{1 << 30, 1 << 30}, // 2^60 cells: fits int64, far past the cap
+			{1 << 32, 1 << 32}, // 2^64 cells: wraps int64 to 0
+			{1 << 62, 4},       // 2^64 cells again, lopsided
+			{2049, 2048},       // one row past the default 2048x2048 cap
+			{1, api.DefaultMaxCells + 1},
+		} {
+			check(t, f.coord, d[0], d[1])
+		}
+	})
+	t.Run("configured-cap", func(t *testing.T) {
+		f := newTestFleet(t, 2, fleet.Config{PhaseCols: 16, MaxCells: 40 * 40})
+		check(t, f.coord, 41, 40)
+		check(t, f.coord, 1, 40*40+1)
+		for _, d := range [][2]int{{40, 40}, {1, 40 * 40}, {40 * 40, 1}} {
+			checkFleetDifferential(t, f.coord, &api.SolveRequest{
+				Rows: d[0], Cols: d[1], Workload: api.WorkloadSpec{Kind: api.KindCost, Seed: 2},
+			}, api.DefaultMask)
+		}
+	})
 }
 
 // TestDirectionForAllMasks pins the phase-direction policy mask by

@@ -104,7 +104,7 @@ func (s *Server) ValidateBandRequest(req *api.BandRequest) (lddp.DepMask, error)
 	if req.Rows <= 0 || req.Cols <= 0 {
 		return 0, fmt.Errorf("table size %dx%d invalid: rows and cols must be positive", req.Rows, req.Cols)
 	}
-	if int64(req.Rows)*int64(req.Cols) > s.cfg.MaxCells {
+	if !api.CellsWithin(req.Rows, req.Cols, s.cfg.MaxCells) {
 		return 0, fmt.Errorf("table size %dx%d exceeds the per-request cap of %d cells", req.Rows, req.Cols, s.cfg.MaxCells)
 	}
 	if req.Row0 < 0 || req.Row0 >= req.Row1 || req.Row1 > req.Rows ||
@@ -265,9 +265,7 @@ func (s *Server) handleBandSolve(w http.ResponseWriter, r *http.Request) {
 		s.wireStats.haloValues.Add(int64(n))
 		s.wireStats.haloBytes.Add(int64(n) * 8)
 	}
-	base, err := BuildProblem(&api.SolveRequest{
-		Rows: req.Rows, Cols: req.Cols, Mask: req.Mask, Workload: req.Workload,
-	})
+	base, err := bandBaseProblem(req, mask)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid", 0, err.Error())
 		return

@@ -101,6 +101,14 @@ func CostProblem(m lddp.DepMask, rows, cols int, cells [][]int64) (*lddp.Problem
 			return nil, fmt.Errorf("cost cells row %d has %d values, want %d", i, len(row), cols)
 		}
 	}
+	return costProblem(m, rows, cols, 0, 0, cells), nil
+}
+
+// costProblem is CostProblem over a window of the cost grid: cells
+// holds the costs of the rows and columns starting at (r0, c0), and F
+// may be evaluated only inside that window. A band block needs no
+// other cells, so a node materializes O(block) input for any table.
+func costProblem(m lddp.DepMask, rows, cols, r0, c0 int, cells [][]int64) *lddp.Problem[int64] {
 	return &lddp.Problem[int64]{
 		Name: fmt.Sprintf("cost-%s-%dx%d", m, rows, cols),
 		Rows: rows, Cols: cols, Deps: m,
@@ -124,25 +132,31 @@ func CostProblem(m lddp.DepMask, rows, cols int, cells [][]int64) (*lddp.Problem
 			if m.Has(lddp.DepNE) {
 				take(nb.NE)
 			}
-			return cells[i][j] + best
+			return cells[i-r0][j-c0] + best
 		},
 		BytesPerCell: 8,
-	}, nil
+	}
+}
+
+// generatedCostWindow returns rows [r0, r1) x cols [c0, c1) of the
+// seeded cost grid of a cols-wide table (internal/workload's
+// shortest-path generator, costs in [1, 64]) as row headers over one
+// flat backing.
+func generatedCostWindow(seed int64, cols, r0, r1, c0, c1 int) [][]int64 {
+	w := c1 - c0
+	flat := workload.CostWindow(uint64(seed), cols, 64, r0, r1, c0, c1)
+	cells := make([][]int64, r1-r0)
+	for i := range cells {
+		cells[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	}
+	return cells
 }
 
 // GeneratedCostCells builds the seeded cost grid used by the "cost" kind
-// when the request carries no inline payload, reusing the shortest-path
-// generator of internal/workload (costs in [1, 64]).
+// when the request carries no inline payload: the whole table's window
+// of the generator, one flat allocation plus row headers.
 func GeneratedCostCells(seed int64, rows, cols int) [][]int64 {
-	g := workload.CostGrid(uint64(seed), rows, cols, 64)
-	cells := make([][]int64, rows)
-	for i := range cells {
-		cells[i] = make([]int64, cols)
-		for j := range cells[i] {
-			cells[i][j] = int64(g[i][j])
-		}
-	}
-	return cells
+	return generatedCostWindow(seed, cols, 0, rows, 0, cols)
 }
 
 // AlignMask is the fixed contributing set of the "align" kind.
@@ -218,6 +232,22 @@ func BuildProblem(req *api.SolveRequest) (*lddp.Problem[int64], error) {
 	default:
 		return nil, fmt.Errorf("unknown workload kind %q (want mix, serve, cost or align)", kind)
 	}
+}
+
+// bandBaseProblem builds the full-table recurrence a validated band
+// request's block is cut from (BlockProblem shifts it into the block).
+// Input is generated for the block alone: the seeded cost kind fills
+// only the block's window of the cost grid, and the other kinds cost
+// O(1) or O(rows+cols) to build, so a node's work per block is
+// O(block cells) plus O(rows+cols) whatever the table's size.
+func bandBaseProblem(req *api.BandRequest, mask lddp.DepMask) (*lddp.Problem[int64], error) {
+	if req.Workload.Kind == api.KindCost {
+		cells := generatedCostWindow(req.Workload.Seed, req.Cols, req.Row0, req.Row1, req.Col0, req.Col1)
+		return costProblem(mask, req.Rows, req.Cols, req.Row0, req.Col0, cells), nil
+	}
+	return BuildProblem(&api.SolveRequest{
+		Rows: req.Rows, Cols: req.Cols, Mask: req.Mask, Workload: req.Workload,
+	})
 }
 
 // DigestCells computes the FNV-1a 64-bit word digest of a table's

@@ -32,7 +32,8 @@ type Config struct {
 	MaxInflight int
 
 	// MaxCells, MaxInlineCells, MaxResponseCells and MaxBodyBytes are
-	// the request-validation caps; <= 0 selects the Default* constants.
+	// the request-validation caps; <= 0 selects the Default* constants
+	// (api.DefaultMaxCells for MaxCells).
 	MaxCells         int64
 	MaxInlineCells   int
 	MaxResponseCells int
@@ -94,7 +95,7 @@ type Hooks struct {
 // withDefaults resolves zero fields to the documented defaults.
 func (c Config) withDefaults() Config {
 	if c.MaxCells <= 0 {
-		c.MaxCells = DefaultMaxCells
+		c.MaxCells = api.DefaultMaxCells
 	}
 	if c.MaxInlineCells <= 0 {
 		c.MaxInlineCells = DefaultMaxInlineCells
@@ -467,7 +468,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if err := s.ValidateRequest(req); err != nil {
 		releaseInline()
 		code := http.StatusBadRequest
-		if int64(req.Rows)*int64(req.Cols) > s.cfg.MaxCells && req.Rows > 0 && req.Cols > 0 {
+		if req.Rows > 0 && req.Cols > 0 && !api.CellsWithin(req.Rows, req.Cols, s.cfg.MaxCells) {
 			code = http.StatusRequestEntityTooLarge
 		}
 		s.writeError(w, code, "invalid", 0, err.Error())

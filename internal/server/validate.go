@@ -16,8 +16,6 @@ import (
 // clamped, so the caller learns about the mistake instead of silently
 // getting a different solve.
 const (
-	// DefaultMaxCells caps Rows*Cols per request (a 2048x2048 table).
-	DefaultMaxCells = 1 << 22
 	// DefaultMaxInlineCells caps the inline cost payload (a 256x256
 	// table) — inline cells travel as JSON, so they must stay small.
 	DefaultMaxInlineCells = 1 << 16
@@ -71,8 +69,7 @@ func (s *Server) ValidateRequest(req *api.SolveRequest) error {
 	if req.Rows <= 0 || req.Cols <= 0 {
 		return fmt.Errorf("table size %dx%d invalid: rows and cols must be positive", req.Rows, req.Cols)
 	}
-	cells := int64(req.Rows) * int64(req.Cols)
-	if cells > s.cfg.MaxCells {
+	if !api.CellsWithin(req.Rows, req.Cols, s.cfg.MaxCells) {
 		return fmt.Errorf("table size %dx%d exceeds the per-request cap of %d cells", req.Rows, req.Cols, s.cfg.MaxCells)
 	}
 	if _, err := wireStrategy(req.Strategy); err != nil {
@@ -87,7 +84,7 @@ func (s *Server) ValidateRequest(req *api.SolveRequest) error {
 		if req.Workload.Kind != api.KindCost {
 			return fmt.Errorf("inline cells are only valid with the cost workload kind")
 		}
-		if cells > int64(s.cfg.MaxInlineCells) {
+		if !api.CellsWithin(req.Rows, req.Cols, int64(s.cfg.MaxInlineCells)) {
 			return fmt.Errorf("inline cost payload %dx%d exceeds the cap of %d cells", req.Rows, req.Cols, s.cfg.MaxInlineCells)
 		}
 	}

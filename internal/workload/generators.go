@@ -79,6 +79,32 @@ func CostGrid(seed uint64, rows, cols, maxCost int) [][]int32 {
 	return g
 }
 
+// CostWindow returns rows [r0, r1) x cols [c0, c1) of
+// CostGrid(seed, rows, cols, maxCost), row-major in one flat slice,
+// bit-identical to the full grid's values. CostGrid spends one draw per
+// cell in row-major order, so cell (i, j) is draw i*cols+j+1 and the
+// window costs O(window cells) whatever the table's size (rows itself
+// only bounds the window and is not needed).
+func CostWindow(seed uint64, cols, maxCost, r0, r1, c0, c1 int) []int64 {
+	if maxCost < 1 {
+		panic("workload: maxCost must be >= 1")
+	}
+	if r0 < 0 || r0 > r1 || c0 < 0 || c0 > c1 || c1 > cols {
+		panic("workload: cost window outside the grid")
+	}
+	w := c1 - c0
+	out := make([]int64, (r1-r0)*w)
+	for i := r0; i < r1; i++ {
+		state := seed + uint64(i*cols+c0)*gamma
+		row := out[(i-r0)*w : (i-r0+1)*w]
+		for j := range row {
+			state += gamma
+			row[j] = int64(int32(1 + mix(state)%uint64(maxCost)))
+		}
+	}
+	return out
+}
+
 // TimeSeries returns a length-n series that random-walks within [lo, hi],
 // a realistic dynamic-time-warping workload.
 func TimeSeries(seed uint64, n int, lo, hi float64) []float64 {

@@ -15,10 +15,19 @@ type RNG struct {
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
+// gamma is splitmix64's state increment: draw k (1-based) of a
+// generator seeded with s is mix(s + k*gamma), so any draw can be
+// computed without the ones before it.
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	r.state += gamma
+	return mix(r.state)
+}
+
+// mix is splitmix64's output function.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

@@ -172,3 +172,53 @@ func TestGeneratorDeterminismProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// checkWindow compares one CostWindow against the same cells of the
+// full CostGrid.
+func checkWindow(t *testing.T, seed uint64, g [][]int32, maxCost, r0, r1, c0, c1 int) {
+	t.Helper()
+	cols := len(g[0])
+	w := CostWindow(seed, cols, maxCost, r0, r1, c0, c1)
+	if len(w) != (r1-r0)*(c1-c0) {
+		t.Fatalf("seed %d window [%d,%d)x[%d,%d): %d values", seed, r0, r1, c0, c1, len(w))
+	}
+	for i := r0; i < r1; i++ {
+		for j := c0; j < c1; j++ {
+			if got, want := w[(i-r0)*(c1-c0)+j-c0], int64(g[i][j]); got != want {
+				t.Fatalf("seed %d %dx%d window [%d,%d)x[%d,%d): cell (%d,%d) = %d, CostGrid %d",
+					seed, len(g), cols, r0, r1, c0, c1, i, j, got, want)
+			}
+		}
+	}
+}
+
+// Property: every window of the cost grid, generated on its own, equals
+// the same cells of CostGrid — over random seeds, shapes (1xN and Nx1
+// included), edge-touching windows and the full table.
+func TestCostWindowMatchesCostGrid(t *testing.T) {
+	r := NewRNG(0xc057)
+	shapes := [][2]int{{1, 1}, {1, 37}, {41, 1}, {2, 2}, {17, 23}, {64, 9}}
+	for k := 0; k < 30; k++ {
+		shapes = append(shapes, [2]int{1 + r.Intn(70), 1 + r.Intn(70)})
+	}
+	for _, sh := range shapes {
+		rows, cols := sh[0], sh[1]
+		seed := r.Uint64()
+		maxCost := 1 + r.Intn(100)
+		g := CostGrid(seed, rows, cols, maxCost)
+		checkWindow(t, seed, g, maxCost, 0, rows, 0, cols) // the full table
+		// One window on every edge and corner, then random interiors.
+		h, w := 1+r.Intn(rows), 1+r.Intn(cols)
+		checkWindow(t, seed, g, maxCost, 0, h, 0, w)
+		checkWindow(t, seed, g, maxCost, 0, h, cols-w, cols)
+		checkWindow(t, seed, g, maxCost, rows-h, rows, 0, w)
+		checkWindow(t, seed, g, maxCost, rows-h, rows, cols-w, cols)
+		checkWindow(t, seed, g, maxCost, 0, rows, cols-1, cols)
+		checkWindow(t, seed, g, maxCost, rows-1, rows, 0, cols)
+		for n := 0; n < 5; n++ {
+			r0, c0 := r.Intn(rows), r.Intn(cols)
+			checkWindow(t, seed, g, maxCost, r0, r0+1+r.Intn(rows-r0), c0, c0+1+r.Intn(cols-c0))
+		}
+		checkWindow(t, seed, g, maxCost, rows/2, rows/2, 0, cols) // empty
+	}
+}

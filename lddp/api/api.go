@@ -121,6 +121,18 @@ const (
 	KindAlign = "align"
 )
 
+// DefaultMaxCells is the default per-request cap on Rows*Cols (a
+// 2048x2048 table). lddpd refuses larger solves and band requests, and
+// the fleet coordinator larger fleet solves, before allocating for them.
+const DefaultMaxCells = 1 << 22
+
+// CellsWithin reports whether a table with positive rows and cols holds
+// at most max cells. It divides rather than multiplies, so sides whose
+// product overflows int64 are refused instead of wrapping under the cap.
+func CellsWithin(rows, cols int, max int64) bool {
+	return int64(rows) <= max/int64(cols)
+}
+
 // SolveIDHeader is the response header echoing the scheduler-assigned
 // solve ID (also in the body) so proxies and access logs can correlate
 // requests with server-side traces without parsing bodies.

@@ -136,12 +136,22 @@ func (c *Client) trySolveBand(ctx context.Context, body *pooledBody) (*BandRespo
 	return &out, nil
 }
 
+// maxBandCells caps one band response's cells: the decoder's default
+// cell cap, set explicitly because the header's block size is also
+// checked against it before the cell buffer is sized.
+const maxBandCells = 1 << 22
+
 // decodeBinaryBandResponse decodes a 200 wire-frame band response: the
 // header is the BandResponse document and the cell section carries the
-// solved block, row-major.
+// solved block, row-major. The cell buffer is sized once from the
+// header's block dimensions; a header naming a block past the cell cap
+// or a cell section of a different size is a malformed frame
+// (wire.ErrFrame), so an untrusted header can never size a bigger
+// buffer than the cap.
 func decodeBinaryBandResponse(hresp *http.Response) (*BandResponse, error) {
 	d := wire.NewDecoder(io.LimitReader(hresp.Body, 64<<20))
 	defer d.Release()
+	d.SetMaxCells(maxBandCells)
 	hdr, err := d.Header()
 	if err != nil {
 		if errors.Is(err, wire.ErrVersion) {
@@ -153,16 +163,21 @@ func decodeBinaryBandResponse(hresp *http.Response) (*BandResponse, error) {
 	if err := json.Unmarshal(hdr, &out); err != nil {
 		return nil, fmt.Errorf("lddp client: decoding band frame header: %w", err)
 	}
-	flat, err := d.Cells(nil)
+	bRows, bCols := out.Row1-out.Row0, out.Col1-out.Col0
+	if bRows <= 0 || bCols <= 0 || bRows > maxBandCells/bCols {
+		return nil, fmt.Errorf("lddp client: %w: band frame header names a %dx%d block (cap %d cells)",
+			wire.ErrFrame, bRows, bCols, maxBandCells)
+	}
+	flat, err := d.Cells(make([]int64, 0, bRows*bCols))
 	if err != nil {
 		return nil, fmt.Errorf("lddp client: decoding band frame cells: %w", err)
 	}
 	if err := d.Close(); err != nil {
 		return nil, fmt.Errorf("lddp client: verifying band frame: %w", err)
 	}
-	bRows, bCols := out.Row1-out.Row0, out.Col1-out.Col0
-	if bRows <= 0 || bCols <= 0 || bRows*bCols != len(flat) {
-		return nil, fmt.Errorf("lddp client: band frame carries %d cells for a %dx%d block", len(flat), bRows, bCols)
+	if len(flat) != bRows*bCols {
+		return nil, fmt.Errorf("lddp client: %w: band frame carries %d cells for a %dx%d block",
+			wire.ErrFrame, len(flat), bRows, bCols)
 	}
 	out.Cells = make([][]int64, bRows)
 	for i := range out.Cells {
